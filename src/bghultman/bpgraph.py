@@ -20,6 +20,7 @@ cycle from 0 recovers the permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .perm import GuardError, SignedPermutation, validate
@@ -92,9 +93,14 @@ def matching_from_pairs(pairs: Iterable[tuple[int, int]], size: int | None = Non
     return PerfectMatching(tuple(partner))
 
 
+@lru_cache(maxsize=None)
+def _grey_partner(size: int) -> tuple[int, ...]:
+    return tuple(v ^ 1 for v in range(size))
+
+
 def grey_matching(n: int) -> PerfectMatching:
     """The fixed grey matching {2i, 2i+1} on 0..2n+1."""
-    return PerfectMatching(tuple(v ^ 1 for v in range(2 * n + 2)))
+    return PerfectMatching(_grey_partner(2 * n + 2))
 
 
 def grey_complement_matching(n: int) -> PerfectMatching:
@@ -270,27 +276,6 @@ class MatchingUnion:
     def cycle_count(self) -> int:
         return union_cycle_count(self.first, self.second)
 
-    def vertex_cycles(self) -> list[list[int]]:
-        pa, pb = self.first.partner, self.second.partner
-        size = len(pa)
-        seen = bytearray(size)
-        cycles = []
-        for v in range(size):
-            if seen[v]:
-                continue
-            cyc = []
-            w = v
-            while not seen[w]:
-                seen[w] = 1
-                cyc.append(w)
-                u = pa[w]
-                if not seen[u]:
-                    cyc.append(u)
-                seen[u] = 1
-                w = pb[u]
-            cycles.append(cyc)
-        return cycles
-
 
 def double(pi: SignedPermutation) -> tuple[int, ...]:
     """Doubled vertex sequence (0, ..., 2n+1) of a signed permutation."""
@@ -379,76 +364,40 @@ def edge_lines(config: Configuration) -> list[str]:
     return lines
 
 
+def _black_partner(images: Sequence[int]) -> list[int]:
+    # Black partner array straight from the images: black edges join the
+    # right end of each doubled pair to the left end of the next one, with 0
+    # before the first pair and 2n+1 after the last.
+    size = 2 * len(images) + 2
+    black = [0] * size
+    u = 0
+    for v in images:
+        if v > 0:
+            w = 2 * v - 1
+            right = w + 1
+        else:
+            w = -2 * v
+            right = w - 1
+        black[u] = w
+        black[w] = u
+        u = right
+    black[u] = size - 1
+    black[size - 1] = u
+    return black
+
+
 def cycle_count_images(images: Sequence[int]) -> int:
     """Alternating-cycle count of the breakpoint graph, from raw images.
 
     Census hot path: avoids building permutation and matching objects.  The
-    grey partner of vertex v is v XOR 1, so only the black partner array is
-    materialised.
+    grey partner of vertex v is v XOR 1 and its tuple is cached per size, so
+    only the black partner array is built per call.
     """
-    n = len(images)
-    size = 2 * n + 2
-    d = [0] * size
-    j = 1
-    for v in images:
-        if v > 0:
-            d[j] = 2 * v - 1
-            d[j + 1] = 2 * v
-        else:
-            d[j] = -2 * v
-            d[j + 1] = -2 * v - 1
-        j += 2
-    d[size - 1] = size - 1
-    black = [0] * size
-    for i in range(0, size, 2):
-        u, w = d[i], d[i + 1]
-        black[u] = w
-        black[w] = u
-    seen = bytearray(size)
-    c = 0
-    for v in range(size):
-        if not seen[v]:
-            c += 1
-            w = v
-            while not seen[w]:
-                seen[w] = 1
-                u = black[w]
-                seen[u] = 1
-                w = u ^ 1
-    return c
+    black = _black_partner(images)
+    return len(_union_lengths(black, _grey_partner(len(black))))
 
 
 def cycle_lengths_images(images: Sequence[int]) -> list[int]:
     """Alternating-cycle lengths (black-edge counts) from raw images."""
-    n = len(images)
-    size = 2 * n + 2
-    d = [0] * size
-    j = 1
-    for v in images:
-        if v > 0:
-            d[j] = 2 * v - 1
-            d[j + 1] = 2 * v
-        else:
-            d[j] = -2 * v
-            d[j + 1] = -2 * v - 1
-        j += 2
-    d[size - 1] = size - 1
-    black = [0] * size
-    for i in range(0, size, 2):
-        u, w = d[i], d[i + 1]
-        black[u] = w
-        black[w] = u
-    seen = bytearray(size)
-    lengths = []
-    for v in range(size):
-        if not seen[v]:
-            length = 0
-            w = v
-            while not seen[w]:
-                seen[w] = 1
-                u = black[w]
-                seen[u] = 1
-                length += 1
-                w = u ^ 1
-            lengths.append(length)
-    return lengths
+    black = _black_partner(images)
+    return _union_lengths(black, _grey_partner(len(black)))

@@ -1,18 +1,23 @@
-"""Exhaustive-census engines producing exact distribution tables.
+"""Exhaustive censuses producing exact distribution tables.
 
-A census walks a full permutation group (or a perfect-matching family) and
-tallies an exact statistic.  Enumeration splits by first image into disjoint
-ranges, partial tables merge by per-key addition, and exact arithmetic makes
-the merge order irrelevant, so parallel and sequential runs produce
-identical tables.
+One engine serves every group census: it checks n and the size guard, then
+tallies key(images) over S_n or the signed group, where key is a statistic
+of one permutation (cycle count, odd-cycle count, or a distance bound from
+the distances module).  With jobs > 1 the enumeration splits by first image
+into disjoint ranges run in a process pool, and the partial tallies merge
+by per-key addition; exact integer counts make the merge order irrelevant,
+so parallel and sequential runs produce identical tables.  The matching
+census walks perfect matchings instead and stays sequential.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 from . import bpgraph, perm
 from .hultman import MomentPair
@@ -56,62 +61,54 @@ class DistributionTable:
         return sorted(self.counts)
 
 
-def _tally(n: int, signed: bool, statistic: str, first: int | None) -> dict[int, int]:
-    it = perm.iter_images_signed(n, first) if signed else perm.iter_images_unsigned(n, first)
-    counts: dict[int, int] = {}
-    if statistic == "cycles":
-        count_of = bpgraph.cycle_count_images
-        for images in it:
-            k = count_of(images)
-            counts[k] = counts.get(k, 0) + 1
-    elif statistic == "odd":
-        lengths_of = bpgraph.cycle_lengths_images
-        for images in it:
-            k = sum(1 for length in lengths_of(images) if length % 2 == 1)
-            counts[k] = counts.get(k, 0) + 1
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    return counts
-
-
-def _tally_worker(args: tuple[int, bool, str, int | None]) -> dict[int, int]:
-    return _tally(*args)
-
-
-def _merge(parts: list[dict[int, int]]) -> dict[int, int]:
-    merged: dict[int, int] = {}
-    for part in parts:
-        for k, v in part.items():
-            merged[k] = merged.get(k, 0) + v
-    return merged
-
-
-def _run_census(
-    n: int, signed: bool, statistic: str, label: str, guard: int, jobs: int, force: bool
-) -> DistributionTable:
+def _check_size(n: int, guard: int, force: bool, what: str) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > guard and not force:
         raise GuardError(
-            f"n={n} exceeds the census guard ({guard}); pass force=True to run anyway"
+            f"n={n} exceeds the {what} guard ({guard}); pass force=True to run anyway"
         )
+
+
+def _odd_cycle_count(images: tuple[int, ...]) -> int:
+    return sum(length % 2 for length in bpgraph.cycle_lengths_images(images))
+
+
+def _tally(
+    key: Callable[[tuple[int, ...]], int], n: int, signed: bool, first: int | None
+) -> Counter[int]:
+    stream = perm.iter_images_signed(n, first) if signed else perm.iter_images_unsigned(n, first)
+    return Counter(map(key, stream))
+
+
+def _run_census(
+    n: int,
+    signed: bool,
+    key: Callable[[tuple[int, ...]], int],
+    statistic: str,
+    jobs: int,
+    force: bool,
+) -> DistributionTable:
+    # ``key`` goes to pool workers, so it must be module-level or a partial
+    # of a module-level function; lambdas and closures do not pickle.
+    _check_size(n, SIGNED_CENSUS_GUARD if signed else UNSIGNED_CENSUS_GUARD, force, "census")
     if jobs <= 1 or n == 0:
-        counts = _tally(n, signed, statistic, None)
+        counts = _tally(key, n, signed, None)
     else:
-        tasks = [(n, signed, statistic, first) for first in perm.first_values(n, signed)]
+        task = partial(_tally, key, n, signed)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = _merge(list(pool.map(_tally_worker, tasks)))
-    return DistributionTable(n, label, counts)
+            counts = sum(pool.map(task, perm.first_values(n, signed)), Counter())
+    return DistributionTable(n, statistic, dict(counts))
 
 
 def hultman_census(n: int, jobs: int = 1, force: bool = False) -> DistributionTable:
     """Counts of breakpoint-graph cycle numbers over all of S_n."""
-    return _run_census(n, False, "cycles", "unsigned_cycles", UNSIGNED_CENSUS_GUARD, jobs, force)
+    return _run_census(n, False, bpgraph.cycle_count_images, "unsigned_cycles", jobs, force)
 
 
 def signed_hultman_census(n: int, jobs: int = 1, force: bool = False) -> DistributionTable:
     """Counts of breakpoint-graph cycle numbers over all signed permutations."""
-    return _run_census(n, True, "cycles", "signed_cycles", SIGNED_CENSUS_GUARD, jobs, force)
+    return _run_census(n, True, bpgraph.cycle_count_images, "signed_cycles", jobs, force)
 
 
 def odd_hultman_census(n: int, jobs: int = 1, force: bool = False) -> DistributionTable:
@@ -120,7 +117,7 @@ def odd_hultman_census(n: int, jobs: int = 1, force: bool = False) -> Distributi
     No closed form is known for these numbers; the census is the only
     implementation by design, not a placeholder.
     """
-    return _run_census(n, False, "odd", "unsigned_odd_cycles", UNSIGNED_CENSUS_GUARD, jobs, force)
+    return _run_census(n, False, _odd_cycle_count, "unsigned_odd_cycles", jobs, force)
 
 
 def matching_census(n: int, force: bool = False) -> dict[tuple[int, int], int]:
@@ -131,45 +128,15 @@ def matching_census(n: int, force: bool = False) -> dict[tuple[int, int], int]:
     is exactly the signed cycle-count distribution for n, since those tau
     are the black matchings of valid breakpoint graphs.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > MATCHING_CENSUS_GUARD and not force:
-        raise GuardError(
-            f"n={n} exceeds the matching census guard ({MATCHING_CENSUS_GUARD})"
-        )
+    _check_size(n, MATCHING_CENSUS_GUARD, force, "matching census")
     grey = bpgraph.grey_matching(n).partner
     shifted = bpgraph.grey_complement_matching(n).partner
-    size = 2 * n + 2
-    counts: dict[tuple[int, int], int] = {}
-    seen = bytearray(size)
-    for tau in bpgraph.iter_partner_tuples(n + 1):
-        i = 0
-        for v in range(size):
-            if not seen[v]:
-                i += 1
-                w = v
-                while not seen[w]:
-                    seen[w] = 1
-                    u = grey[w]
-                    seen[u] = 1
-                    w = tau[u]
-        j = 0
-        for v in range(size):
-            seen[v] = 0
-        for v in range(size):
-            if not seen[v]:
-                j += 1
-                w = v
-                while not seen[w]:
-                    seen[w] = 1
-                    u = tau[w]
-                    seen[u] = 1
-                    w = shifted[u]
-        for v in range(size):
-            seen[v] = 0
-        key = (i, j)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    walk = bpgraph._union_lengths
+    pairs = (
+        (len(walk(grey, tau)), len(walk(tau, shifted)))
+        for tau in bpgraph.iter_partner_tuples(n + 1)
+    )
+    return dict(Counter(pairs))
 
 
 def moments_from_table(table: DistributionTable, total: int) -> MomentPair:

@@ -162,12 +162,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 class _Checker:
     def __init__(self) -> None:
+        self.checks = 0
         self.failures = 0
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         tag = "PASS" if ok else "FAIL"
         suffix = f" ({detail})" if detail else ""
         print(f"{tag} {name}{suffix}")
+        self.checks += 1
         if not ok:
             self.failures += 1
 
@@ -362,10 +364,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     max_n = args.max_n if args.max_n is not None else default_max
     chk = _Checker()
     runner(chk, max_n)
+    if chk.checks == 0:
+        print(f"error: suite {args.suite} ran no checks for --max-n {max_n}", file=sys.stderr)
+        return 1
     if chk.failures:
         print(f"{chk.failures} check(s) failed", file=sys.stderr)
         return 1
     return 0
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """Argparse type for an integer option that must be >= minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -382,23 +402,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="closed-form cycle-count table for n = 0..N")
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--n", type=int, required=True, help="largest n to emit")
+    p.add_argument("--n", type=_int_at_least(0), required=True, help="largest n to emit")
     p.add_argument("--dense", action="store_true", help="include zero-count rows")
     _add_output_flags(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("census", help="exhaustive census at a single n")
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--statistic", choices=("cycles", "odd"), default="cycles")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--force", action="store_true", help="override the census size guard")
     _add_output_flags(p)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("moments", help="exact means and variances for n = 1..N")
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_int_at_least(0), required=True, dest="max_n")
     _add_output_flags(p)
     p.set_defaults(func=cmd_moments)
 
@@ -408,22 +428,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="distance or bound distribution at a single n")
     p.add_argument("--metric", choices=metric_names, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--force", action="store_true")
     _add_output_flags(p)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("compare", help="fit a shifted cycle table to a BFS distance")
     p.add_argument("--metric", choices=sorted(distances.GENERATOR_SETS), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--force", action="store_true")
     _add_output_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p.add_argument("--max-n", type=_int_at_least(0), default=None, dest="max_n")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -433,7 +453,7 @@ def main(argv: Iterable[str] | None = None) -> int:
     args = build_parser().parse_args(list(argv) if argv is not None else None)
     try:
         return args.func(args)
-    except GuardError as exc:
+    except (GuardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

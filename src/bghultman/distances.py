@@ -11,17 +11,12 @@ BFS levels double as exact distance distributions at desk scale.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
-from . import bpgraph, perm
-from .census import (
-    SIGNED_CENSUS_GUARD,
-    UNSIGNED_CENSUS_GUARD,
-    DistributionTable,
-    _merge,
-)
+from . import bpgraph
+from .census import DistributionTable, _run_census
 from .exactmath import exact_div
 from .hultman import hultman_bona_flynn, signed_hultman
 from .perm import GuardError, PermutationError, SignedPermutation
@@ -275,20 +270,6 @@ def bfs_level_sizes(
     return sizes
 
 
-def _bound_tally(n: int, metric: str, first: int | None) -> dict[int, int]:
-    signed = metric not in _UNSIGNED_BOUNDS
-    it = perm.iter_images_signed(n, first) if signed else perm.iter_images_unsigned(n, first)
-    counts: dict[int, int] = {}
-    for images in it:
-        v = _metric_value(images, metric)
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
-def _bound_tally_worker(args: tuple[int, str, int | None]) -> dict[int, int]:
-    return _bound_tally(*args)
-
-
 def bound_distribution(
     n: int, metric: str, jobs: int = 1, force: bool = False
 ) -> DistributionTable:
@@ -300,16 +281,7 @@ def bound_distribution(
     if metric not in FORMULA_METRICS + BOUND_METRICS:
         raise ValueError(f"unknown bound metric {metric!r}")
     signed = metric not in _UNSIGNED_BOUNDS
-    guard = SIGNED_CENSUS_GUARD if signed else UNSIGNED_CENSUS_GUARD
-    if n > guard and not force:
-        raise GuardError(f"n={n} exceeds the census guard ({guard}) for {metric}")
-    if jobs <= 1 or n == 0:
-        counts = _bound_tally(n, metric, None)
-    else:
-        tasks = [(n, metric, first) for first in perm.first_values(n, signed)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = _merge(list(pool.map(_bound_tally_worker, tasks)))
-    return DistributionTable(n, metric, counts)
+    return _run_census(n, signed, partial(_metric_value, metric=metric), metric, jobs, force)
 
 
 def distance_distribution(

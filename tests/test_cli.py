@@ -3,12 +3,15 @@ from math import factorial
 
 import pytest
 
-from bghultman import golden
+from bghultman import distances, golden
 from bghultman.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -140,6 +143,41 @@ class TestOutFile(object):
         assert code == 0 and out == ""
         assert target.read_text().startswith("n,k,count\n")
 
+    def test_unwritable_path_is_one_line_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "census", "--n", "3", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "table --n -1",
+            "dist --metric bid --n -2",
+            "dist --metric td_lower --n -1",
+            "moments --max-n -3",
+            "census --n -1",
+            "census --n 3 --jobs -4",
+            "census --n 3 --jobs 0",
+            "verify --suite table1 --max-n -1",
+        ],
+    )
+    def test_bad_numbers_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_library_value_error_is_one_line(self, capsys, monkeypatch):
+        def reject(*args, **kwargs):
+            raise ValueError("n must be >= 0")
+
+        monkeypatch.setattr(distances, "distance_distribution", reject)
+        code, out, err = run_cli(capsys, "dist", "--metric", "td_lower", "--n", "3")
+        assert (code, out, err) == (2, "", "error: n must be >= 0\n")
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -160,3 +198,9 @@ class TestVerify:
         assert code == 1
         assert "FAIL table1.row_n3" in out
         assert "failed" in err
+
+    def test_no_checks_is_failure(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "table1", "--max-n", "0")
+        assert code == 1
+        assert out == ""
+        assert "no checks" in err

@@ -87,6 +87,14 @@ class TestDistributions:
         with pytest.raises(ValueError):
             bound_distribution(3, "reversal")
 
+    def test_census_input_checks(self):
+        with pytest.raises(ValueError):
+            bound_distribution(-1, "td_lower")
+        with pytest.raises(GuardError):
+            bound_distribution(11, "td_lower")
+        with pytest.raises(GuardError):
+            bound_distribution(9, "srd_lower")
+
 
 class TestBFS:
     def test_group_orders(self):
