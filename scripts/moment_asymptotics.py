@@ -17,8 +17,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bghultman.hultman import signed_mean, signed_variance, unsigned_mean, unsigned_variance
+from bghultman.verify import EULER_GAMMA
 
-EULER_GAMMA = 0.5772156649
 VARIANCE_CUTOFF = 120  # exact signed variance is quadratic in n; keep it desk-sized
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .perm import GuardError, SignedPermutation, validate
+from .perm import SignedPermutation, check_size, validate
 
 __all__ = [
     "InvalidConfigurationError",
@@ -182,11 +182,7 @@ def enumerate_matchings(m: int, force: bool = False) -> Iterator[PerfectMatching
     """All (2m-1)!! perfect matchings of {0..2m-1}."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > MATCHING_ENUMERATION_GUARD and not force:
-        raise GuardError(
-            f"m={m} exceeds the matching enumeration guard "
-            f"({MATCHING_ENUMERATION_GUARD}); pass force=True to run anyway"
-        )
+    check_size(m, MATCHING_ENUMERATION_GUARD, force, "matching enumeration")
     return (PerfectMatching(t) for t in iter_partner_tuples(m))
 
 

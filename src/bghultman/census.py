@@ -21,7 +21,6 @@ from typing import Callable, Mapping
 
 from . import bpgraph, perm
 from .hultman import MomentPair
-from .perm import GuardError
 
 __all__ = [
     "DistributionTable",
@@ -61,15 +60,6 @@ class DistributionTable:
         return sorted(self.counts)
 
 
-def _check_size(n: int, guard: int, force: bool, what: str) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > guard and not force:
-        raise GuardError(
-            f"n={n} exceeds the {what} guard ({guard}); pass force=True to run anyway"
-        )
-
-
 def _odd_cycle_count(images: tuple[int, ...]) -> int:
     return sum(length % 2 for length in bpgraph.cycle_lengths_images(images))
 
@@ -91,7 +81,7 @@ def _run_census(
 ) -> DistributionTable:
     # ``key`` goes to pool workers, so it must be module-level or a partial
     # of a module-level function; lambdas and closures do not pickle.
-    _check_size(n, SIGNED_CENSUS_GUARD if signed else UNSIGNED_CENSUS_GUARD, force, "census")
+    perm.check_size(n, SIGNED_CENSUS_GUARD if signed else UNSIGNED_CENSUS_GUARD, force, "census")
     if jobs <= 1 or n == 0:
         counts = _tally(key, n, signed, None)
     else:
@@ -128,7 +118,7 @@ def matching_census(n: int, force: bool = False) -> dict[tuple[int, int], int]:
     is exactly the signed cycle-count distribution for n, since those tau
     are the black matchings of valid breakpoint graphs.
     """
-    _check_size(n, MATCHING_CENSUS_GUARD, force, "matching census")
+    perm.check_size(n, MATCHING_CENSUS_GUARD, force, "matching census")
     grey = bpgraph.grey_matching(n).partner
     shifted = bpgraph.grey_complement_matching(n).partner
     walk = bpgraph._union_lengths

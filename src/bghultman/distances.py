@@ -19,7 +19,7 @@ from . import bpgraph
 from .census import DistributionTable, _run_census
 from .exactmath import exact_div
 from .hultman import hultman_bona_flynn, signed_hultman
-from .perm import GuardError, PermutationError, SignedPermutation
+from .perm import PermutationError, SignedPermutation, check_size
 
 __all__ = [
     "GeneratorSet",
@@ -132,8 +132,10 @@ BOUND_METRICS = ("srd_lower", "td_lower", "ptd_lower", "psrd_lower")
 _UNSIGNED_BOUNDS = {"bid", "td_lower", "ptd_lower"}
 
 
-def _metric_value(images: Sequence[int], metric: str) -> int:
-    lengths = bpgraph.cycle_lengths_images(images)
+def _metric_value(images: Sequence[int], metric: str, lengths: list[int] | None = None) -> int:
+    # ``lengths`` is the cycle-length list of ``images`` when the caller has it.
+    if lengths is None:
+        lengths = bpgraph.cycle_lengths_images(images)
     n = len(images)
     c = len(lengths)
     if metric == "bid":
@@ -208,15 +210,14 @@ class BoundReport:
 
 
 def bound_report(pi: SignedPermutation, metric: str) -> BoundReport:
-    if metric not in FORMULA_METRICS + BOUND_METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
+    # An unknown metric raises in _metric_value.
     if metric in _UNSIGNED_BOUNDS:
         _require_unsigned(pi, metric)
     lengths = bpgraph.cycle_lengths_images(pi.images)
     return BoundReport(
         permutation=pi,
         metric=metric,
-        value=_metric_value(pi.images, metric),
+        value=_metric_value(pi.images, metric, lengths),
         c=len(lengths),
         c_odd=sum(1 for length in lengths if length % 2 == 1),
         c_1=sum(1 for length in lengths if length == 1),
@@ -239,11 +240,7 @@ def bfs_distances(
     """Exact sorting distance of every group element, by BFS from identity."""
     gset = _resolve_generator(generator_set)
     guard = BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD
-    if n > guard and not force:
-        raise GuardError(
-            f"n={n} exceeds the BFS guard ({guard}) for {gset.name}; "
-            "pass force=True to run anyway"
-        )
+    check_size(n, guard, force, f"{gset.name} BFS")
     start = tuple(range(1, n + 1))
     dist: dict[Images, int] = {start: 0}
     frontier = [start]

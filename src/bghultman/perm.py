@@ -33,6 +33,7 @@ __all__ = [
     "enumerate_unsigned",
     "enumerate_signed",
     "count_factorizations",
+    "check_size",
     "parse_permutation",
     "format_permutation",
     "UNSIGNED_ENUMERATION_GUARD",
@@ -55,6 +56,16 @@ class GuardError(RuntimeError):
     Pass force=True to run anyway; guards exist to catch accidental
     factorial blowups, not to forbid large runs.
     """
+
+
+def check_size(n: int, guard: int, force: bool, what: str) -> None:
+    """Reject a negative size, and a size above ``guard`` unless ``force``."""
+    if n < 0:
+        raise ValueError(f"size must be >= 0, got {n}")
+    if n > guard and not force:
+        raise GuardError(
+            f"size {n} exceeds the {what} guard ({guard}); pass force=True to run anyway"
+        )
 
 
 @dataclass(frozen=True)
@@ -237,21 +248,13 @@ def first_values(n: int, signed: bool) -> tuple[int, ...]:
 
 def enumerate_unsigned(n: int, force: bool = False) -> Iterator[SignedPermutation]:
     """All n! unsigned permutations in lexicographic image order."""
-    if n > UNSIGNED_ENUMERATION_GUARD and not force:
-        raise GuardError(
-            f"n={n} exceeds the unsigned enumeration guard "
-            f"({UNSIGNED_ENUMERATION_GUARD}); pass force=True to run anyway"
-        )
+    check_size(n, UNSIGNED_ENUMERATION_GUARD, force, "unsigned enumeration")
     return (SignedPermutation(t) for t in iter_images_unsigned(n))
 
 
 def enumerate_signed(n: int, force: bool = False) -> Iterator[SignedPermutation]:
     """All 2^n * n! signed permutations in lexicographic image order."""
-    if n > SIGNED_ENUMERATION_GUARD and not force:
-        raise GuardError(
-            f"n={n} exceeds the signed enumeration guard "
-            f"({SIGNED_ENUMERATION_GUARD}); pass force=True to run anyway"
-        )
+    check_size(n, SIGNED_ENUMERATION_GUARD, force, "signed enumeration")
     return (SignedPermutation(t) for t in iter_images_signed(n))
 
 
@@ -266,10 +269,7 @@ def count_factorizations(n: int, k: int, force: bool = False) -> int:
     """
     if not 1 <= k <= n + 1:
         raise ValueError(f"k={k} outside 1..{n + 1}")
-    if n > FACTORIZATION_GUARD and not force:
-        raise GuardError(
-            f"n={n} exceeds the factorisation guard ({FACTORIZATION_GUARD})"
-        )
+    check_size(n, FACTORIZATION_GUARD, force, "factorisation")
     beta = tuple(range(2, n + 2)) + (1,)
     count = 0
     rho = [0] * (n + 1)

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from bghultman import distances, golden
+from bghultman import cli, distances, golden
 from bghultman.cli import main
 
 
@@ -148,6 +148,29 @@ class TestOutFile(object):
         code, out, err = run_cli(capsys, "census", "--n", "3", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_existing_file_is_replaced(self, capsys, tmp_path):
+        target = tmp_path / "table.csv"
+        target.write_text("stale\n" * 1000)
+        code, _, _ = run_cli(capsys, "table", "--n", "2", "--out", str(target))
+        _, expected, _ = run_cli(capsys, "table", "--n", "2")
+        assert code == 0
+        assert target.read_text() == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_failed_replace_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "x.csv"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", src)
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, out, err = run_cli(capsys, "census", "--n", "3", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 13] Permission denied: '{target}'\n"
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 class TestBadInput:

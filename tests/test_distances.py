@@ -61,6 +61,21 @@ class TestFormulaDistances:
         assert not report.first_is_one
         report = bound_report(identity(3), "ptd_lower")
         assert report.c == report.c_1 == 4 and report.first_is_one
+        with pytest.raises(ValueError):
+            bound_report(FIG2_PERM, "reversal")
+
+    def test_bound_report_walks_graph_once(self, monkeypatch):
+        calls = []
+        walk = D.bpgraph.cycle_lengths_images
+
+        def counting_walk(images):
+            calls.append(images)
+            return walk(images)
+
+        monkeypatch.setattr(D.bpgraph, "cycle_lengths_images", counting_walk)
+        report = bound_report(FIG2_PERM, "psrd_lower")
+        assert len(calls) == 1
+        assert report.value == psrd_lower(FIG2_PERM)
 
 
 class TestDistributions:
@@ -152,6 +167,10 @@ class TestBFS:
             bfs_distances(7, "signed_reversal")
         with pytest.raises(ValueError):
             bfs_distances(3, "unknown_moves")
+        with pytest.raises(ValueError):
+            bfs_distances(-1, "transposition")
+        with pytest.raises(ValueError):
+            bfs_level_sizes(-1, "transposition")
 
 
 class TestDomination:

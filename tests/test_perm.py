@@ -152,6 +152,9 @@ class TestEnumeration:
         with pytest.raises(GuardError):
             enumerate_signed(10)
         assert next(iter(enumerate_unsigned(13, force=True))).n == 13
+        for enumerate_group in (enumerate_unsigned, enumerate_signed):
+            with pytest.raises(ValueError):
+                enumerate_group(-1)
 
 
 class TestCountFactorizations:
@@ -174,6 +177,8 @@ class TestCountFactorizations:
             count_factorizations(8, 1)
         with pytest.raises(ValueError):
             count_factorizations(3, 0)
+        with pytest.raises(ValueError):
+            count_factorizations(-1, 1, force=True)
 
 
 class TestCycleCountMean:
