@@ -1,13 +1,22 @@
-"""Exhaustive censuses producing exact distribution tables.
+"""Exact distribution tables of breakpoint-graph cycle statistics.
 
-One engine serves every group census: it checks n and the size guard, then
-tallies key(images) over S_n or the signed group, where key is a statistic
-of one permutation (cycle count, odd-cycle count, or a distance bound from
-the distances module).  With jobs > 1 the enumeration splits by first image
-into disjoint ranges run in a process pool, and the partial tallies merge
-by per-key addition; exact integer counts make the merge order irrelevant,
-so parallel and sequential runs produce identical tables.  The matching
-census walks perfect matchings instead and stays sequential.
+Every group census runs on one engine, a transfer-matrix DP over positions
+(Stanley, Enumerative Combinatorics 1, section 4.7).  Placing images left to
+right adds one black edge at a time to the fixed grey matching v <-> v^1, so
+after k positions the graph is a set of closed cycles plus paths whose ends
+are the vertices still without a black edge.  A DP state is the current exit
+vertex and the path partner of every such vertex; a cycle is counted when the
+black edge that closes it is placed.  The states number exponentially, not
+factorially, in n.
+
+A statistic is a sum of per-cycle weights (see WEIGHTS): the cycle count,
+the odd-cycle count, or c - 2*c_1 for the prefix bounds in the distances
+module.  Each state carries its counts by weighted sum as one packed integer,
+so closing a cycle is a shift, and prefixes that reach the same state add
+their counts.  The DP runs once per first image; with jobs > 1 those runs go to a
+process pool, and the partial tables merge by per-key addition, so parallel
+and sequential runs produce identical tables.  The matching census walks
+perfect matchings instead and stays sequential.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import factorial
 from typing import Callable, Mapping
 
 from . import bpgraph, perm
@@ -60,45 +70,125 @@ class DistributionTable:
         return sorted(self.counts)
 
 
-def _odd_cycle_count(images: tuple[int, ...]) -> int:
-    return sum(length % 2 for length in bpgraph.cycle_lengths_images(images))
+# Per-cycle weights of the DP.  "c" counts every cycle, "c_odd" the cycles
+# of odd length, and "c_minus_2c_1" counts +1 per cycle and -1 per cycle of
+# length 1.
+WEIGHTS = ("c", "c_odd", "c_minus_2c_1")
+
+_DONE = 255  # state byte of a vertex that has its black edge
 
 
-def _tally(
-    key: Callable[[tuple[int, ...]], int], n: int, signed: bool, first: int | None
-) -> Counter[int]:
-    stream = perm.iter_images_signed(n, first) if signed else perm.iter_images_unsigned(n, first)
-    return Counter(map(key, stream))
+def _weighted_census(n: int, signed: bool, weight: str, first: int | None) -> dict[int, int]:
+    """Counts by weighted cycle sum over the permutations with first image ``first``.
+
+    ``first=None`` covers the whole group.  State bytes 0..2n+1 hold
+    2 * path partner + path parity (the parity of the path's black-edge
+    count, kept only for "c_odd"), or _DONE; byte 2n+2 is the exit vertex.
+    A state's counts are packed into one int, ``bits`` bits per weighted
+    sum; no field can exceed the group order, so no field overflows.
+    """
+    if weight not in WEIGHTS:
+        raise ValueError(f"unknown cycle weight {weight!r}")
+    if 2 * (2 * n + 1) + 1 >= _DONE:
+        raise ValueError(f"the census state encoding supports n <= 62, got {n}")
+    order = factorial(n) << n if signed else factorial(n)
+    bits = order.bit_length() + 1
+    parity = 1 if weight == "c_odd" else 0
+    # c - 2*c_1 can be as low as -(n + 1); an offset keeps every shift >= 0.
+    offset = n + 1 if weight == "c_minus_2c_1" else 0
+
+    def close(counts: int, path_parity: int, singleton: bool) -> int:
+        # Count the cycle closed by one more black edge.
+        if weight == "c_odd":
+            return counts if path_parity else counts << bits
+        if weight == "c_minus_2c_1" and singleton:
+            return counts >> bits
+        return counts << bits
+
+    # Entry and exit vertex of each image: +v enters 2v-1, -v enters 2v.
+    ends = {v: (2 * v - 1, 2 * v) for v in range(1, n + 1)}
+    if signed:
+        ends.update({-v: (2 * v, 2 * v - 1) for v in range(1, n + 1)})
+    pairs = list(ends.values())
+    # With no black edge yet, each path is one grey edge; the exit is 0.
+    level = {bytes([2 * (u ^ 1) for u in range(2 * n + 2)] + [0]): 1 << (offset * bits)}
+    for k in range(n):
+        steps = [ends[first]] if k == 0 and first is not None else pairs
+        nxt: dict[bytes, int] = {}
+        while level:
+            state, counts = level.popitem()
+            exit_ = state[-1]
+            partner, path_parity = divmod(state[exit_], 2)
+            for entry, new_exit in steps:
+                code = state[entry]
+                if code == _DONE or state[new_exit] == _DONE:
+                    continue
+                b = bytearray(state)
+                b[exit_] = b[entry] = _DONE
+                b[-1] = new_exit
+                if entry == partner:
+                    out = close(counts, path_parity, entry == exit_ ^ 1)
+                else:
+                    # The black edge joins two paths into one; the low bit of
+                    # ``code`` is the parity of the entry's path.
+                    other = code >> 1
+                    joined = (path_parity + code + 1) & parity
+                    b[partner] = 2 * other + joined
+                    b[other] = 2 * partner + joined
+                    out = counts
+                key = bytes(b)
+                nxt[key] = nxt.get(key, 0) + out
+        level = nxt
+    # The last black edge joins the exit to 2n+1, its path partner.
+    total = sum(
+        close(counts, state[state[-1]] & 1, state[-1] == 2 * n) for state, counts in level.items()
+    )
+    mask = (1 << bits) - 1
+    table = {}
+    for j in range(-offset, n + 2):
+        count = (total >> ((j + offset) * bits)) & mask
+        if count:
+            table[j] = count
+    return table
 
 
 def _run_census(
     n: int,
     signed: bool,
-    key: Callable[[tuple[int, ...]], int],
+    weight: str,
     statistic: str,
     jobs: int,
     force: bool,
+    value: Callable[[int | None, int], int] | None = None,
 ) -> DistributionTable:
-    # ``key`` goes to pool workers, so it must be module-level or a partial
-    # of a module-level function; lambdas and closures do not pickle.
+    """Distribution of ``value(first image, weighted cycle sum)`` over the group.
+
+    Without ``value`` the statistic is the weighted cycle sum itself.
+    ``value`` runs in this process, so unlike the DP tasks it need not pickle.
+    """
     perm.check_size(n, SIGNED_CENSUS_GUARD if signed else UNSIGNED_CENSUS_GUARD, force, "census")
+    firsts = perm.first_values(n, signed) or (None,)
+    task = partial(_weighted_census, n, signed, weight)
     if jobs <= 1 or n == 0:
-        counts = _tally(key, n, signed, None)
+        parts = map(task, firsts)
     else:
-        task = partial(_tally, key, n, signed)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = sum(pool.map(task, perm.first_values(n, signed)), Counter())
+            parts = list(pool.map(task, firsts))
+    counts: Counter[int] = Counter()
+    for first, part in zip(firsts, parts):
+        for s, count in part.items():
+            counts[s if value is None else value(first, s)] += count
     return DistributionTable(n, statistic, dict(counts))
 
 
 def hultman_census(n: int, jobs: int = 1, force: bool = False) -> DistributionTable:
     """Counts of breakpoint-graph cycle numbers over all of S_n."""
-    return _run_census(n, False, bpgraph.cycle_count_images, "unsigned_cycles", jobs, force)
+    return _run_census(n, False, "c", "unsigned_cycles", jobs, force)
 
 
 def signed_hultman_census(n: int, jobs: int = 1, force: bool = False) -> DistributionTable:
     """Counts of breakpoint-graph cycle numbers over all signed permutations."""
-    return _run_census(n, True, bpgraph.cycle_count_images, "signed_cycles", jobs, force)
+    return _run_census(n, True, "c", "signed_cycles", jobs, force)
 
 
 def odd_hultman_census(n: int, jobs: int = 1, force: bool = False) -> DistributionTable:
@@ -107,7 +197,7 @@ def odd_hultman_census(n: int, jobs: int = 1, force: bool = False) -> Distributi
     No closed form is known for these numbers; the census is the only
     implementation by design, not a placeholder.
     """
-    return _run_census(n, False, _odd_cycle_count, "unsigned_odd_cycles", jobs, force)
+    return _run_census(n, False, "c_odd", "unsigned_odd_cycles", jobs, force)
 
 
 def matching_census(n: int, force: bool = False) -> dict[tuple[int, int], int]:

@@ -12,7 +12,6 @@ BFS levels double as exact distance distributions at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from . import bpgraph
@@ -132,30 +131,46 @@ BOUND_METRICS = ("srd_lower", "td_lower", "ptd_lower", "psrd_lower")
 _UNSIGNED_BOUNDS = {"bid", "td_lower", "ptd_lower"}
 
 
+# The per-cycle weight (see census.WEIGHTS) whose sum each metric reads.
+_METRIC_WEIGHT = {
+    "bid": "c",
+    "dcj": "c",
+    "srd_lower": "c",
+    "td_lower": "c_odd",
+    "ptd_lower": "c_minus_2c_1",
+    "psrd_lower": "c_minus_2c_1",
+}
+
+
+def _cycle_stats(lengths: Sequence[int]) -> tuple[int, int, int]:
+    """(c, c_odd, c_1) of a cycle-length list."""
+    c_odd = sum(1 for length in lengths if length % 2 == 1)
+    c_1 = sum(1 for length in lengths if length == 1)
+    return len(lengths), c_odd, c_1
+
+
+def _bound_value(metric: str, n: int, total: int, first_is_one: bool) -> int:
+    # ``total`` is the sum of the metric's cycle weight: c, c_odd or c - 2*c_1.
+    if metric in ("bid", "td_lower"):
+        return exact_div(n + 1 - total, 2)
+    if metric in ("dcj", "srd_lower"):
+        return n + 1 - total
+    if metric == "ptd_lower":
+        return max(0, exact_div(n + 1 + total, 2) - (0 if first_is_one else 1))
+    if metric == "psrd_lower":
+        return max(0, n + 1 + total - (0 if first_is_one else 2))
+    raise ValueError(f"unknown metric {metric!r}")
+
+
 def _metric_value(images: Sequence[int], metric: str, lengths: list[int] | None = None) -> int:
     # ``lengths`` is the cycle-length list of ``images`` when the caller has it.
+    if metric not in _METRIC_WEIGHT:
+        raise ValueError(f"unknown metric {metric!r}")
     if lengths is None:
         lengths = bpgraph.cycle_lengths_images(images)
-    n = len(images)
-    c = len(lengths)
-    if metric == "bid":
-        return exact_div(n + 1 - c, 2)
-    if metric == "dcj":
-        return n + 1 - c
-    if metric == "srd_lower":
-        return n + 1 - c
-    if metric == "td_lower":
-        c_odd = sum(1 for length in lengths if length % 2 == 1)
-        return exact_div(n + 1 - c_odd, 2)
-    first_is_one = bool(images) and images[0] == 1
-    c_1 = sum(1 for length in lengths if length == 1)
-    if metric == "ptd_lower":
-        value = exact_div(n + 1 + c, 2) - c_1 - (0 if first_is_one else 1)
-        return max(0, value)
-    if metric == "psrd_lower":
-        value = n + 1 + c - 2 * c_1 - (0 if first_is_one else 2)
-        return max(0, value)
-    raise ValueError(f"unknown metric {metric!r}")
+    c, c_odd, c_1 = _cycle_stats(lengths)
+    total = {"c": c, "c_odd": c_odd, "c_minus_2c_1": c - 2 * c_1}[_METRIC_WEIGHT[metric]]
+    return _bound_value(metric, len(images), total, bool(images) and images[0] == 1)
 
 
 def _require_unsigned(pi: SignedPermutation, what: str) -> None:
@@ -214,13 +229,14 @@ def bound_report(pi: SignedPermutation, metric: str) -> BoundReport:
     if metric in _UNSIGNED_BOUNDS:
         _require_unsigned(pi, metric)
     lengths = bpgraph.cycle_lengths_images(pi.images)
+    c, c_odd, c_1 = _cycle_stats(lengths)
     return BoundReport(
         permutation=pi,
         metric=metric,
         value=_metric_value(pi.images, metric, lengths),
-        c=len(lengths),
-        c_odd=sum(1 for length in lengths if length % 2 == 1),
-        c_1=sum(1 for length in lengths if length == 1),
+        c=c,
+        c_odd=c_odd,
+        c_1=c_1,
         first_is_one=bool(pi.images) and pi.images[0] == 1,
     )
 
@@ -278,7 +294,11 @@ def bound_distribution(
     if metric not in FORMULA_METRICS + BOUND_METRICS:
         raise ValueError(f"unknown bound metric {metric!r}")
     signed = metric not in _UNSIGNED_BOUNDS
-    return _run_census(n, signed, partial(_metric_value, metric=metric), metric, jobs, force)
+
+    def value(first: int | None, total: int) -> int:
+        return _bound_value(metric, n, total, first == 1)
+
+    return _run_census(n, signed, _METRIC_WEIGHT[metric], metric, jobs, force, value)
 
 
 def distance_distribution(
@@ -291,6 +311,8 @@ def distance_distribution(
     run the BFS oracle.  ``jobs`` parallelises only the tallied statistics;
     BFS runs single-threaded either way.
     """
+    if n < 0:
+        raise ValueError(f"size must be >= 0, got {n}")
     if metric == "bid":
         counts = {}
         for k in range(0, (n + 1) // 2 + 1):

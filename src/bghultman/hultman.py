@@ -305,7 +305,10 @@ def r_sum(n: int) -> Fraction:
     """Sum of r_n(a, b) over the whole index set A_n.
 
     Grouped by k = a - b so the inner sums stay in integer arithmetic;
-    direct term-by-term Fraction summation is too slow for n ~ 1000.
+    direct term-by-term Fraction summation is too slow for n ~ 1000.  Each
+    inner term (a-1)!/(b-1)! * (2b-2)! * (n-a-b+2)! follows from the one
+    before by a small-integer ratio, so the inner loop multiplies no two
+    factorials.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -315,9 +318,14 @@ def r_sum(n: int) -> Fraction:
     total = Fraction(0)
     for k in range(0, n):
         inner = 0
+        term = fact[k] * fact[n - k]  # b = 1
         for b in range(1, (n + 1 - k) // 2 + 1):
-            a = k + b
-            inner += (fact[a - 1] // fact[b - 1]) * fact[2 * b - 2] * fact[n - a - b + 2]
+            inner += term
+            # term(b+1) / term(b) = (k+b) * 2(2b-1) / ((m+2)(m+1)); the
+            # division is exact because term(b+1) is an integer.
+            m = n - k - 2 * b
+            if m > 0:
+                term = term * (k + b) * 2 * (2 * b - 1) // ((m + 2) * (m + 1))
         if inner == 0:
             continue
         sign = -1 if (n + k) % 2 else 1

@@ -53,8 +53,8 @@ class PermutationError(ValueError):
 class GuardError(RuntimeError):
     """An exhaustive enumeration was requested above its size guard.
 
-    Pass force=True to run anyway; guards exist to catch accidental
-    factorial blowups, not to forbid large runs.
+    Pass force=True (``--force`` on the command line) to run anyway; guards
+    exist to catch accidental factorial blowups, not to forbid large runs.
     """
 
 
@@ -64,7 +64,8 @@ def check_size(n: int, guard: int, force: bool, what: str) -> None:
         raise ValueError(f"size must be >= 0, got {n}")
     if n > guard and not force:
         raise GuardError(
-            f"size {n} exceeds the {what} guard ({guard}); pass force=True to run anyway"
+            f"size {n} exceeds the {what} guard ({guard}); "
+            "pass --force (command line) or force=True (library) to run anyway"
         )
 
 

@@ -1,18 +1,6 @@
-import os
 import sys
 from pathlib import Path
-
-import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("RUN_SLOW") == "1":
-        return
-    skip = pytest.mark.skip(reason="slow; set RUN_SLOW=1 to run")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)

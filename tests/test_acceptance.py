@@ -1,8 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report.  The optional large signed census (n = 8) is marked slow; enable it
-with RUN_SLOW=1.
+report.
 """
 
 import json
@@ -97,9 +96,8 @@ def test_criterion_03_census_oracles(unsigned_tables, signed_tables):
                 assert table.count(k) == signed_hultman(n, k)
 
 
-@pytest.mark.slow
 def test_criterion_03_optional_signed_n8():
-    with reported(3, "optional parallel signed census at n = 8"):
+    with reported(3, "parallel signed census at n = 8"):
         table = census.signed_hultman_census(8, jobs=max(os.cpu_count() or 1, 2))
         assert table.total() == 2**8 * factorial(8)
         for k in range(1, 10):

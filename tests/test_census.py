@@ -1,9 +1,13 @@
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bghultman import census
+from bghultman import bpgraph, census, distances, perm
 from bghultman.census import (
     DistributionTable,
     hultman_census,
@@ -55,6 +59,92 @@ class TestCycleCensuses:
         assert hultman_census(5, jobs=4) == hultman_census(5)
         assert signed_hultman_census(4, jobs=4) == signed_hultman_census(4)
         assert odd_hultman_census(5, jobs=3) == odd_hultman_census(5)
+
+
+def _images(n, signed, first=None):
+    return (perm.iter_images_signed if signed else perm.iter_images_unsigned)(n, first)
+
+
+def _odd_cycle_count(images):
+    return sum(length % 2 for length in bpgraph.cycle_lengths_images(images))
+
+
+def _weighted_sum(weight, images):
+    lengths = bpgraph.cycle_lengths_images(images)
+    return {
+        "c": len(lengths),
+        "c_odd": sum(length % 2 for length in lengths),
+        "c_minus_2c_1": sum(-1 if length == 1 else 1 for length in lengths),
+    }[weight]
+
+
+# statistic -> (signed, per-permutation key of the brute-force route the DP
+# replaced, DP census of the whole group).
+_TABLES = {
+    "unsigned_cycles": (False, bpgraph.cycle_count_images, hultman_census),
+    "signed_cycles": (True, bpgraph.cycle_count_images, signed_hultman_census),
+    "unsigned_odd_cycles": (False, _odd_cycle_count, odd_hultman_census),
+    **{
+        metric: (
+            metric not in distances._UNSIGNED_BOUNDS,
+            partial(distances._metric_value, metric=metric),
+            partial(distances.bound_distribution, metric=metric),
+        )
+        for metric in distances.FORMULA_METRICS + distances.BOUND_METRICS
+    },
+}
+
+
+@lru_cache(maxsize=None)
+def _brute_table(statistic, n):
+    signed, key, _ = _TABLES[statistic]
+    return dict(Counter(map(key, _images(n, signed))))
+
+
+class TestTransferMatrix:
+    """The DP census equals the per-permutation tally it replaced."""
+
+    @pytest.mark.parametrize("signed, max_n", [(False, 7), (True, 6)])
+    @pytest.mark.parametrize("weight", census.WEIGHTS)
+    def test_each_first_image(self, weight, signed, max_n):
+        for n in range(0, max_n + 1):
+            for first in perm.first_values(n, signed) or (None,):
+                expected = Counter(_weighted_sum(weight, t) for t in _images(n, signed, first))
+                assert census._weighted_census(n, signed, weight, first) == expected, (n, first)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("statistic", sorted(_TABLES))
+    def test_tables(self, statistic, jobs):
+        signed, _, dp_census = _TABLES[statistic]
+        max_n = 6 if signed else 7
+        # A process pool per n would dominate the run time; jobs=3 covers the top n.
+        for n in range(0, max_n + 1) if jobs == 1 else (max_n,):
+            table = dp_census(n, jobs=jobs)
+            assert table.n == n
+            assert table.counts == _brute_table(statistic, n), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        metric=st.sampled_from(distances.FORMULA_METRICS + distances.BOUND_METRICS),
+        n=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_bound_per_first_image(self, metric, n, data):
+        signed = metric not in distances._UNSIGNED_BOUNDS
+        first = data.draw(st.sampled_from(perm.first_values(n, signed)))
+        weighted = census._weighted_census(n, signed, distances._METRIC_WEIGHT[metric], first)
+        got = Counter()
+        for total, count in weighted.items():
+            got[distances._bound_value(metric, n, total, first == 1)] += count
+        key = partial(distances._metric_value, metric=metric)
+        assert got == Counter(map(key, _images(n, signed, first)))
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            census._weighted_census(3, False, "c_even", None)
+        # A state byte must stay below the "done" marker 255.
+        with pytest.raises(ValueError):
+            odd_hultman_census(63, force=True)
 
 
 class TestOddCensus:

@@ -83,6 +83,7 @@ class TestCensus:
         code, _, err = run_cli(capsys, "census", "--n", "11")
         assert code == 2
         assert "guard" in err
+        assert "--force" in err
 
     def test_signed_odd_rejected(self, capsys):
         code, _, err = run_cli(capsys, "census", "--signed", "--n", "3", "--statistic", "odd")

@@ -102,6 +102,11 @@ class TestDistributions:
         with pytest.raises(ValueError):
             bound_distribution(3, "reversal")
 
+    def test_negative_n(self):
+        for metric in ("bid", "dcj", "td_lower", "psrd_lower", "reversal"):
+            with pytest.raises(ValueError):
+                distance_distribution(-2, metric)
+
     def test_census_input_checks(self):
         with pytest.raises(ValueError):
             bound_distribution(-1, "td_lower")
