@@ -146,7 +146,7 @@ def iter_partner_tuples(m: int, zero_partner: int | None = None) -> Iterator[tup
     Deterministic order: the smallest unmatched vertex is paired first, with
     its partner chosen in ascending order.  Fixing ``zero_partner`` restricts
     to matchings where 0 is paired with that vertex, giving 2m-1 disjoint
-    ranges for parallel consumption.
+    ranges.
     """
     size = 2 * m
     partner = [-1] * size

@@ -10,22 +10,18 @@ black edge that closes it is placed.  The states number exponentially, not
 factorially, in n.
 
 A statistic is a sum of per-cycle weights (see WEIGHTS): the cycle count,
-the odd-cycle count, or c - 2*c_1 for the prefix bounds in the distances
-module.  Each state carries its counts by weighted sum as one packed integer,
-so closing a cycle is a shift, and prefixes that reach the same state add
-their counts.  The DP runs once per first image; with jobs > 1 those runs go to a
-process pool, and the partial tables merge by per-key addition, so parallel
-and sequential runs produce identical tables.  The matching census walks
-perfect matchings instead and stays sequential.
+the odd-cycle count, or the weight behind the prefix bounds in the
+distances module.  Each state carries its counts by weighted sum as one
+packed integer, so closing a cycle is a shift, and prefixes that reach the
+same state add their counts.  One DP run covers the whole group.  The
+matching census walks perfect matchings instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import factorial
 from typing import Callable, Mapping
 
@@ -70,22 +66,25 @@ class DistributionTable:
         return sorted(self.counts)
 
 
-# Per-cycle weights of the DP.  "c" counts every cycle, "c_odd" the cycles
-# of odd length, and "c_minus_2c_1" counts +1 per cycle and -1 per cycle of
-# length 1.
+# Per-cycle weights of the DP.  "c" counts every cycle and "c_odd" the cycles
+# of odd length.  "c_minus_2c_1" counts +1 per cycle and -1 per cycle of
+# length 1, except that the cycle through vertex 0 always counts +1.  That
+# cycle has length 1 exactly when the first image is +1 (black edge 0-1, grey
+# edge 1-0), so the weighted sum is c - 2*c_1 + 2*[first == 1], and the
+# [first != 1] term of the prefix bounds needs no first image in the state.
 WEIGHTS = ("c", "c_odd", "c_minus_2c_1")
 
 _DONE = 255  # state byte of a vertex that has its black edge
 
 
-def _weighted_census(n: int, signed: bool, weight: str, first: int | None) -> dict[int, int]:
-    """Counts by weighted cycle sum over the permutations with first image ``first``.
+def _weighted_census(n: int, signed: bool, weight: str) -> dict[int, int]:
+    """Counts by weighted cycle sum over the whole group.
 
-    ``first=None`` covers the whole group.  State bytes 0..2n+1 hold
-    2 * path partner + path parity (the parity of the path's black-edge
-    count, kept only for "c_odd"), or _DONE; byte 2n+2 is the exit vertex.
-    A state's counts are packed into one int, ``bits`` bits per weighted
-    sum; no field can exceed the group order, so no field overflows.
+    State bytes 0..2n+1 hold 2 * path partner + path parity (the parity of
+    the path's black-edge count, kept only for "c_odd"), or _DONE; byte
+    2n+2 is the exit vertex.  A state's counts are packed into one int,
+    ``bits`` bits per weighted sum; no field can exceed the group order, so
+    no field overflows.
     """
     if weight not in WEIGHTS:
         raise ValueError(f"unknown cycle weight {weight!r}")
@@ -94,32 +93,33 @@ def _weighted_census(n: int, signed: bool, weight: str, first: int | None) -> di
     order = factorial(n) << n if signed else factorial(n)
     bits = order.bit_length() + 1
     parity = 1 if weight == "c_odd" else 0
-    # c - 2*c_1 can be as low as -(n + 1); an offset keeps every shift >= 0.
+    # The "c_minus_2c_1" sum is never below -(n + 1); an offset keeps every
+    # shift >= 0.
     offset = n + 1 if weight == "c_minus_2c_1" else 0
 
-    def close(counts: int, path_parity: int, singleton: bool) -> int:
-        # Count the cycle closed by one more black edge.
+    def close(counts: int, path_parity: int, exit_: int, entry: int) -> int:
+        # Count the cycle closed by the black edge exit_-entry.  It has
+        # length 1 if entry is the grey partner of exit_; vertex 0 is exit_
+        # only at the first edge, and at the last one when n = 0.
         if weight == "c_odd":
             return counts if path_parity else counts << bits
-        if weight == "c_minus_2c_1" and singleton:
+        if weight == "c_minus_2c_1" and entry == exit_ ^ 1 and exit_:
             return counts >> bits
         return counts << bits
 
     # Entry and exit vertex of each image: +v enters 2v-1, -v enters 2v.
-    ends = {v: (2 * v - 1, 2 * v) for v in range(1, n + 1)}
+    pairs = [(2 * v - 1, 2 * v) for v in range(1, n + 1)]
     if signed:
-        ends.update({-v: (2 * v, 2 * v - 1) for v in range(1, n + 1)})
-    pairs = list(ends.values())
+        pairs += [(2 * v, 2 * v - 1) for v in range(1, n + 1)]
     # With no black edge yet, each path is one grey edge; the exit is 0.
     level = {bytes([2 * (u ^ 1) for u in range(2 * n + 2)] + [0]): 1 << (offset * bits)}
-    for k in range(n):
-        steps = [ends[first]] if k == 0 and first is not None else pairs
+    for _ in range(n):
         nxt: dict[bytes, int] = {}
         while level:
             state, counts = level.popitem()
             exit_ = state[-1]
             partner, path_parity = divmod(state[exit_], 2)
-            for entry, new_exit in steps:
+            for entry, new_exit in pairs:
                 code = state[entry]
                 if code == _DONE or state[new_exit] == _DONE:
                     continue
@@ -127,7 +127,7 @@ def _weighted_census(n: int, signed: bool, weight: str, first: int | None) -> di
                 b[exit_] = b[entry] = _DONE
                 b[-1] = new_exit
                 if entry == partner:
-                    out = close(counts, path_parity, entry == exit_ ^ 1)
+                    out = close(counts, path_parity, exit_, entry)
                 else:
                     # The black edge joins two paths into one; the low bit of
                     # ``code`` is the parity of the entry's path.
@@ -141,7 +141,7 @@ def _weighted_census(n: int, signed: bool, weight: str, first: int | None) -> di
         level = nxt
     # The last black edge joins the exit to 2n+1, its path partner.
     total = sum(
-        close(counts, state[state[-1]] & 1, state[-1] == 2 * n) for state, counts in level.items()
+        close(counts, state[state[-1]] & 1, state[-1], 2 * n + 1) for state, counts in level.items()
     )
     mask = (1 << bits) - 1
     table = {}
@@ -157,47 +157,37 @@ def _run_census(
     signed: bool,
     weight: str,
     statistic: str,
-    jobs: int,
     force: bool,
-    value: Callable[[int | None, int], int] | None = None,
+    value: Callable[[int], int] | None = None,
 ) -> DistributionTable:
-    """Distribution of ``value(first image, weighted cycle sum)`` over the group.
+    """Distribution of ``value(weighted cycle sum)`` over the group.
 
     Without ``value`` the statistic is the weighted cycle sum itself.
-    ``value`` runs in this process, so unlike the DP tasks it need not pickle.
     """
     perm.check_size(n, SIGNED_CENSUS_GUARD if signed else UNSIGNED_CENSUS_GUARD, force, "census")
-    firsts = perm.first_values(n, signed) or (None,)
-    task = partial(_weighted_census, n, signed, weight)
-    if jobs <= 1 or n == 0:
-        parts = map(task, firsts)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(task, firsts))
     counts: Counter[int] = Counter()
-    for first, part in zip(firsts, parts):
-        for s, count in part.items():
-            counts[s if value is None else value(first, s)] += count
+    for total, count in _weighted_census(n, signed, weight).items():
+        counts[total if value is None else value(total)] += count
     return DistributionTable(n, statistic, dict(counts))
 
 
-def hultman_census(n: int, jobs: int = 1, force: bool = False) -> DistributionTable:
+def hultman_census(n: int, force: bool = False) -> DistributionTable:
     """Counts of breakpoint-graph cycle numbers over all of S_n."""
-    return _run_census(n, False, "c", "unsigned_cycles", jobs, force)
+    return _run_census(n, False, "c", "unsigned_cycles", force)
 
 
-def signed_hultman_census(n: int, jobs: int = 1, force: bool = False) -> DistributionTable:
+def signed_hultman_census(n: int, force: bool = False) -> DistributionTable:
     """Counts of breakpoint-graph cycle numbers over all signed permutations."""
-    return _run_census(n, True, "c", "signed_cycles", jobs, force)
+    return _run_census(n, True, "c", "signed_cycles", force)
 
 
-def odd_hultman_census(n: int, jobs: int = 1, force: bool = False) -> DistributionTable:
+def odd_hultman_census(n: int, force: bool = False) -> DistributionTable:
     """Counts of odd-length breakpoint-graph cycles over S_n.
 
     No closed form is known for these numbers; the census is the only
     implementation by design, not a placeholder.
     """
-    return _run_census(n, False, "c_odd", "unsigned_odd_cycles", jobs, force)
+    return _run_census(n, False, "c_odd", "unsigned_odd_cycles", force)
 
 
 def matching_census(n: int, force: bool = False) -> dict[tuple[int, int], int]:

@@ -78,11 +78,11 @@ def cmd_census(args: argparse.Namespace) -> int:
         if args.signed:
             print("error: the odd-cycle census is defined for unsigned permutations", file=sys.stderr)
             return 2
-        table = census.odd_hultman_census(args.n, jobs=args.jobs, force=args.force)
+        table = census.odd_hultman_census(args.n, force=args.force)
     elif args.signed:
-        table = census.signed_hultman_census(args.n, jobs=args.jobs, force=args.force)
+        table = census.signed_hultman_census(args.n, force=args.force)
     else:
-        table = census.hultman_census(args.n, jobs=args.jobs, force=args.force)
+        table = census.hultman_census(args.n, force=args.force)
     _write_distribution(table, args)
     return 0
 
@@ -104,7 +104,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    table = distances.distance_distribution(args.n, args.metric, jobs=args.jobs, force=args.force)
+    table = distances.distance_distribution(args.n, args.metric, force=args.force)
     _write_distribution(table, args)
     return 0
 
@@ -151,6 +151,9 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+_JOBS_HELP = "accepted for compatibility; has no effect"
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", default=None, help="write to file instead of stdout")
@@ -174,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signed", action="store_true")
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--statistic", choices=("cycles", "odd"), default="cycles")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.add_argument("--force", action="store_true", help="override the census size guard")
     _add_output_flags(p)
     p.set_defaults(func=cmd_census)
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="distance or bound distribution at a single n")
     p.add_argument("--metric", choices=metric_names, required=True)
     p.add_argument("--n", type=_int_at_least(0), required=True)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.add_argument("--force", action="store_true")
     _add_output_flags(p)
     p.set_defaults(func=cmd_dist)

@@ -12,6 +12,7 @@ BFS levels double as exact distance distributions at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from . import bpgraph
@@ -149,16 +150,18 @@ def _cycle_stats(lengths: Sequence[int]) -> tuple[int, int, int]:
     return len(lengths), c_odd, c_1
 
 
-def _bound_value(metric: str, n: int, total: int, first_is_one: bool) -> int:
-    # ``total`` is the sum of the metric's cycle weight: c, c_odd or c - 2*c_1.
+def _bound_value(metric: str, n: int, total: int) -> int:
+    # ``total`` is the sum of the metric's cycle weight: c, c_odd, or
+    # c - 2*c_1 + 2*[first == 1] (census.WEIGHTS), which turns the bounds'
+    # [first != 1] term into a constant.
     if metric in ("bid", "td_lower"):
         return exact_div(n + 1 - total, 2)
     if metric in ("dcj", "srd_lower"):
         return n + 1 - total
     if metric == "ptd_lower":
-        return max(0, exact_div(n + 1 + total, 2) - (0 if first_is_one else 1))
+        return max(0, exact_div(n + 1 + total, 2) - 1)
     if metric == "psrd_lower":
-        return max(0, n + 1 + total - (0 if first_is_one else 2))
+        return max(0, n + 1 + total - 2)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -169,8 +172,10 @@ def _metric_value(images: Sequence[int], metric: str, lengths: list[int] | None 
     if lengths is None:
         lengths = bpgraph.cycle_lengths_images(images)
     c, c_odd, c_1 = _cycle_stats(lengths)
-    total = {"c": c, "c_odd": c_odd, "c_minus_2c_1": c - 2 * c_1}[_METRIC_WEIGHT[metric]]
-    return _bound_value(metric, len(images), total, bool(images) and images[0] == 1)
+    # The cycle through vertex 0 has length 1 iff the first image is 1, or n = 0.
+    zero_singleton = not images or images[0] == 1
+    weights = {"c": c, "c_odd": c_odd, "c_minus_2c_1": c - 2 * c_1 + 2 * zero_singleton}
+    return _bound_value(metric, len(images), weights[_METRIC_WEIGHT[metric]])
 
 
 def _require_unsigned(pi: SignedPermutation, what: str) -> None:
@@ -283,9 +288,7 @@ def bfs_level_sizes(
     return sizes
 
 
-def bound_distribution(
-    n: int, metric: str, jobs: int = 1, force: bool = False
-) -> DistributionTable:
+def bound_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:
     """Tally a cycle-based distance or bound over the whole group.
 
     This is the enumeration route; for bid and dcj it must agree with the
@@ -294,22 +297,16 @@ def bound_distribution(
     if metric not in FORMULA_METRICS + BOUND_METRICS:
         raise ValueError(f"unknown bound metric {metric!r}")
     signed = metric not in _UNSIGNED_BOUNDS
-
-    def value(first: int | None, total: int) -> int:
-        return _bound_value(metric, n, total, first == 1)
-
-    return _run_census(n, signed, _METRIC_WEIGHT[metric], metric, jobs, force, value)
+    value = partial(_bound_value, metric, n)
+    return _run_census(n, signed, _METRIC_WEIGHT[metric], metric, force, value)
 
 
-def distance_distribution(
-    n: int, metric: str, jobs: int = 1, force: bool = False
-) -> DistributionTable:
+def distance_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:
     """Exact distribution of a distance or bound statistic at size n.
 
     bid and dcj come from closed formulas and never hit a guard; the four
     lower-bound statistics are tallied over the group; generator-set names
-    run the BFS oracle.  ``jobs`` parallelises only the tallied statistics;
-    BFS runs single-threaded either way.
+    run the BFS oracle.
     """
     if n < 0:
         raise ValueError(f"size must be >= 0, got {n}")
@@ -328,7 +325,7 @@ def distance_distribution(
                 counts[k] = v
         return DistributionTable(n, "dcj", counts)
     if metric in BOUND_METRICS:
-        return bound_distribution(n, metric, jobs=jobs, force=force)
+        return bound_distribution(n, metric, force=force)
     if metric in GENERATOR_SETS:
         sizes = bfs_level_sizes(n, metric, force)
         return DistributionTable(n, metric, sizes)

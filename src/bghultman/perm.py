@@ -5,8 +5,8 @@ image whose absolute values form a bijection of {1..n}.  Unsigned
 permutations are the all-positive special case of the same type.  The module
 provides validation, group operations, disjoint-cycle structure,
 deterministic (lexicographic) enumeration streams that can be split by first
-image for parallel consumption, and a brute-force counter of cycle
-factorisations used as an oracle elsewhere.
+image, and a brute-force counter of cycle factorisations used as an oracle
+elsewhere.
 """
 
 from __future__ import annotations
@@ -202,6 +202,8 @@ def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int
     if first is None:
         yield from itertools.permutations(range(1, n + 1))
         return
+    if not 1 <= first <= n:
+        raise PermutationError(f"first image {first} outside range for n={n}")
     rest = [v for v in range(1, n + 1) if v != first]
     for tail in itertools.permutations(rest):
         yield (first,) + tail

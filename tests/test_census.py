@@ -4,10 +4,8 @@ from functools import lru_cache, partial
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bghultman import bpgraph, census, distances, perm
+from bghultman import bpgraph, census, cli, distances, perm
 from bghultman.census import (
     DistributionTable,
     hultman_census,
@@ -55,14 +53,9 @@ class TestCycleCensuses:
         with pytest.raises(GuardError):
             signed_hultman_census(9)
 
-    def test_parallel_matches_sequential(self):
-        assert hultman_census(5, jobs=4) == hultman_census(5)
-        assert signed_hultman_census(4, jobs=4) == signed_hultman_census(4)
-        assert odd_hultman_census(5, jobs=3) == odd_hultman_census(5)
 
-
-def _images(n, signed, first=None):
-    return (perm.iter_images_signed if signed else perm.iter_images_unsigned)(n, first)
+def _images(n, signed):
+    return (perm.iter_images_signed if signed else perm.iter_images_unsigned)(n)
 
 
 def _odd_cycle_count(images):
@@ -71,10 +64,13 @@ def _odd_cycle_count(images):
 
 def _weighted_sum(weight, images):
     lengths = bpgraph.cycle_lengths_images(images)
+    # The cycle through vertex 0 has length 1 iff the first image is 1 (or
+    # n = 0); the third weight counts it +1 either way.
+    zero_singleton = not images or images[0] == 1
     return {
         "c": len(lengths),
         "c_odd": sum(length % 2 for length in lengths),
-        "c_minus_2c_1": sum(-1 if length == 1 else 1 for length in lengths),
+        "c_minus_2c_1": len(lengths) - 2 * lengths.count(1) + 2 * zero_singleton,
     }[weight]
 
 
@@ -94,6 +90,13 @@ _TABLES = {
     },
 }
 
+# statistic -> command line printing its table; the rest are dist metrics.
+_COMMANDS = {
+    "unsigned_cycles": ["census"],
+    "signed_cycles": ["census", "--signed"],
+    "unsigned_odd_cycles": ["census", "--statistic", "odd"],
+}
+
 
 @lru_cache(maxsize=None)
 def _brute_table(statistic, n):
@@ -107,41 +110,43 @@ class TestTransferMatrix:
     @pytest.mark.parametrize("signed, max_n", [(False, 7), (True, 6)])
     @pytest.mark.parametrize("weight", census.WEIGHTS)
     def test_each_first_image(self, weight, signed, max_n):
+        # One DP run covers every first image; the "c_minus_2c_1" weight
+        # carries the first image's [first == 1] term.
         for n in range(0, max_n + 1):
-            for first in perm.first_values(n, signed) or (None,):
-                expected = Counter(_weighted_sum(weight, t) for t in _images(n, signed, first))
-                assert census._weighted_census(n, signed, weight, first) == expected, (n, first)
+            expected = Counter(_weighted_sum(weight, t) for t in _images(n, signed))
+            assert census._weighted_census(n, signed, weight) == expected, n
 
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("statistic", sorted(_TABLES))
-    def test_tables(self, statistic, jobs):
+    def test_tables(self, statistic, jobs, capsys):
         signed, _, dp_census = _TABLES[statistic]
         max_n = 6 if signed else 7
-        # A process pool per n would dominate the run time; jobs=3 covers the top n.
-        for n in range(0, max_n + 1) if jobs == 1 else (max_n,):
-            table = dp_census(n, jobs=jobs)
+        for n in range(0, max_n + 1):
+            table = dp_census(n)
             assert table.n == n
             assert table.counts == _brute_table(statistic, n), n
+        # --jobs is accepted for compatibility and must leave the table as it is.
+        argv = _COMMANDS.get(statistic, ["dist", "--metric", statistic])
+        assert cli.main([*argv, "--n", str(max_n), "--jobs", str(jobs)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert dict(map(int, row.split(",")) for row in rows) == _brute_table(statistic, max_n)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        metric=st.sampled_from(distances.FORMULA_METRICS + distances.BOUND_METRICS),
-        n=st.integers(1, 6),
-        data=st.data(),
-    )
-    def test_bound_per_first_image(self, metric, n, data):
-        signed = metric not in distances._UNSIGNED_BOUNDS
-        first = data.draw(st.sampled_from(perm.first_values(n, signed)))
-        weighted = census._weighted_census(n, signed, distances._METRIC_WEIGHT[metric], first)
-        got = Counter()
-        for total, count in weighted.items():
-            got[distances._bound_value(metric, n, total, first == 1)] += count
-        key = partial(distances._metric_value, metric=metric)
-        assert got == Counter(map(key, _images(n, signed, first)))
+    @pytest.mark.parametrize("statistic", sorted(_TABLES))
+    def test_one_dp_run(self, statistic, monkeypatch):
+        calls = []
+        dp = census._weighted_census
+
+        def counting_dp(*args):
+            calls.append(args)
+            return dp(*args)
+
+        monkeypatch.setattr(census, "_weighted_census", counting_dp)
+        _TABLES[statistic][2](5)
+        assert len(calls) == 1
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            census._weighted_census(3, False, "c_even", None)
+            census._weighted_census(3, False, "c_even")
         # A state byte must stay below the "done" marker 255.
         with pytest.raises(ValueError):
             odd_hultman_census(63, force=True)

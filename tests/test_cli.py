@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,28 @@ class TestCensus:
         _, seq, _ = run_cli(capsys, "census", "--n", "5", "--jobs", "1")
         _, par, _ = run_cli(capsys, "census", "--n", "5", "--jobs", "4")
         assert seq == par
+
+    @pytest.mark.parametrize("command", ["census", "dist"])
+    def test_jobs_help_says_no_effect(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert "no effect" in " ".join(out.split())
+
+    def test_import_loads_no_worker_pool(self):
+        # Every census runs in the calling process, so the CLI needs neither
+        # concurrent.futures nor multiprocessing.
+        src = Path(cli.__file__).resolve().parent.parent
+        code = (
+            "import sys, bghultman.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent', 'multiprocessing'))))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
     def test_guard_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "census", "--n", "11")

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -25,6 +26,8 @@ from bghultman.perm import (
     compose,
     identity,
     inverse,
+    iter_images_signed,
+    iter_images_unsigned,
     validate,
 )
 
@@ -93,8 +96,27 @@ class TestDistributions:
         for n in range(0, 5):
             assert bound_distribution(n, "dcj") == distance_distribution(n, "dcj")
 
-    def test_tally_parallel_matches(self):
-        assert bound_distribution(5, "td_lower", jobs=3) == bound_distribution(5, "td_lower")
+    @pytest.mark.parametrize(
+        "metric, signed, max_n", [("ptd_lower", False, 7), ("psrd_lower", True, 6)]
+    )
+    def test_prefix_bounds_from_cycle_lengths(self, metric, signed, max_n):
+        # The census reads these bounds off one weighted cycle sum; check them
+        # against the textbook form, from the cycle lengths and the first image.
+        stream = iter_images_signed if signed else iter_images_unsigned
+        for n in range(0, max_n + 1):
+            expected = Counter()
+            for images in stream(n):
+                lengths = D.bpgraph.cycle_lengths_images(images)
+                c, c_1 = len(lengths), lengths.count(1)
+                first_not_one = not images or images[0] != 1
+                if metric == "ptd_lower":
+                    assert (n + 1 + c) % 2 == 0
+                    want = max(0, (n + 1 + c) // 2 - c_1 - first_not_one)
+                else:
+                    want = max(0, n + 1 + c - 2 * c_1 - 2 * first_not_one)
+                assert getattr(D, metric)(SignedPermutation(images)) == want, images
+                expected[want] += 1
+            assert bound_distribution(n, metric).counts == expected, n
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):

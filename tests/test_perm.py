@@ -145,6 +145,12 @@ class TestEnumeration:
             parts = [t for first in first_values(n, signed) for t in it(n, first)]
             assert sorted(parts) == sorted(whole)
             assert len(parts) == len(whole)
+            for first in (0, n + 2, -(n + 2)):
+                with pytest.raises(PermutationError):
+                    next(it(n, first))
+        # A negative first image is out of range for an unsigned stream.
+        with pytest.raises(PermutationError):
+            next(iter_images_unsigned(3, -1))
 
     def test_guards(self):
         with pytest.raises(GuardError):
