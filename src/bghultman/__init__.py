@@ -42,7 +42,7 @@ from .distances import (
     srd_lower,
     td_lower,
 )
-from .exactmath import ExactInt, ExactRational, Polynomial
+from .exactmath import Polynomial
 from .hultman import (
     HookPartition,
     MomentPair,

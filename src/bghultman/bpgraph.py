@@ -31,7 +31,6 @@ __all__ = [
     "Configuration",
     "BreakpointGraph",
     "CycleProfile",
-    "MatchingUnion",
     "matching_from_pairs",
     "grey_matching",
     "grey_complement_matching",
@@ -140,13 +139,11 @@ def conjugate_matching(phi: PerfectMatching, relabel: Sequence[int]) -> PerfectM
     return PerfectMatching(tuple(out))
 
 
-def iter_partner_tuples(m: int, zero_partner: int | None = None) -> Iterator[tuple[int, ...]]:
+def iter_partner_tuples(m: int) -> Iterator[tuple[int, ...]]:
     """Raw stream of partner tuples for all perfect matchings of 0..2m-1.
 
     Deterministic order: the smallest unmatched vertex is paired first, with
-    its partner chosen in ascending order.  Fixing ``zero_partner`` restricts
-    to matchings where 0 is paired with that vertex, giving 2m-1 disjoint
-    ranges.
+    its partner chosen in ascending order.
     """
     size = 2 * m
     partner = [-1] * size
@@ -168,14 +165,7 @@ def iter_partner_tuples(m: int, zero_partner: int | None = None) -> Iterator[tup
     if m == 0:
         yield ()
         return
-    if zero_partner is None:
-        yield from rec(0)
-    else:
-        if not 1 <= zero_partner < size:
-            raise ValueError(f"zero_partner {zero_partner} outside 1..{size - 1}")
-        partner[0] = zero_partner
-        partner[zero_partner] = 0
-        yield from rec(1)
+    yield from rec(0)
 
 
 def enumerate_matchings(m: int, force: bool = False) -> Iterator[PerfectMatching]:
@@ -262,17 +252,6 @@ class BreakpointGraph:
     doubled: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MatchingUnion:
-    """Union of two perfect matchings, used for complement inspection."""
-
-    first: PerfectMatching
-    second: PerfectMatching
-
-    def cycle_count(self) -> int:
-        return union_cycle_count(self.first, self.second)
-
-
 def double(pi: SignedPermutation) -> tuple[int, ...]:
     """Doubled vertex sequence (0, ..., 2n+1) of a signed permutation."""
     out = [0]
@@ -306,14 +285,17 @@ def cycle_profile(config: Configuration) -> CycleProfile:
     return CycleProfile(tuple(sorted(lengths)))
 
 
-def complement(config: Configuration) -> MatchingUnion:
-    """The configuration with grey edges shifted sideways by one position."""
-    return MatchingUnion(config.black, grey_complement_matching(config.n))
+def complement(config: Configuration) -> tuple[PerfectMatching, PerfectMatching]:
+    """The configuration with grey edges shifted sideways by one position.
+
+    Returned as the pair (black, shifted grey) of matchings whose union it is.
+    """
+    return config.black, grey_complement_matching(config.n)
 
 
 def is_valid_breakpoint_graph(config: Configuration) -> bool:
     """True iff the complement is a single cycle (2-regular hamiltonicity)."""
-    return complement(config).cycle_count() == 1
+    return union_cycle_count(*complement(config)) == 1
 
 
 def recover_permutation(config: Configuration) -> SignedPermutation:

@@ -1,11 +1,12 @@
 """Exact arithmetic building blocks: big integers, rationals, dense polynomials.
 
 Every count and moment in this library is exact.  Integers are Python's
-arbitrary-precision ``int`` and rationals are ``fractions.Fraction``; the
-aliases ``ExactInt`` / ``ExactRational`` mark intent in signatures.  The
-``Polynomial`` class stores exact coefficients densely in ascending-degree
-order, which is the right shape for factorial polynomials and generating
-functions whose degree stays small (at most a few dozen here).
+arbitrary-precision ``int`` and rationals are ``fractions.Fraction``.
+``exact_div`` is the one exactness check: every division that must leave
+no remainder goes through it.  The ``Polynomial`` class stores exact
+coefficients densely in ascending-degree order, which is the right shape for
+factorial polynomials and generating functions whose degree stays small (at
+most a few dozen here).
 """
 
 from __future__ import annotations
@@ -16,13 +17,9 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Union
 
-ExactInt = int
-ExactRational = Fraction
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "ExactInt",
-    "ExactRational",
     "Scalar",
     "ExactnessError",
     "exact_div",
@@ -75,12 +72,6 @@ class Polynomial:
     def constant(cls, value: Scalar) -> "Polynomial":
         return cls((value,))
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls((0,) * degree + (coefficient,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -122,9 +113,6 @@ class Polynomial:
                     out[i + j] += a * b
             return Polynomial(tuple(out))
         return Polynomial(tuple(c * other for c in self.coeffs))
-
-    def __rmul__(self, other: Scalar) -> "Polynomial":
-        return self.__mul__(other)
 
     def evaluate(self, x: Scalar) -> Scalar:
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""

@@ -5,6 +5,8 @@ number of the first kind by a binomial, and an average of falling-factorial
 coefficients.  Signed counts sum over hook-shaped partitions (a, b, 1^m) of
 n+1, combining three ingredients per partition: a rational weight, a
 coefficient of the hook polynomial F, and the linear coefficient F'(0).
+The weights share one common denominator, so the sum runs over integer
+polynomials and ends in one exact division per coefficient.
 Generating functions for both cases yield exact means and variances, which
 are also available directly as harmonic-number formulas.
 
@@ -17,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator
 
 from .exactmath import (
-    ExactnessError,
     Polynomial,
     binomial,
     exact_div,
@@ -185,24 +186,23 @@ def c_lambda(lam: HookPartition) -> Fraction:
     return Fraction(num, den)
 
 
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ExactnessError(f"{what} is not an integer: {value}")
-    return value.numerator
-
-
 @lru_cache(maxsize=None)
 def signed_gf(n: int) -> Polynomial:
-    """Generating function of signed counts: sum of c * F(x) * F'(0)."""
+    """Generating function of signed counts: sum of c * F(x) * F'(0).
+
+    The weights c * F'(0) are rational; they are brought to one common
+    denominator D, the integer polynomials F(x) * (weight * D) are summed,
+    and each coefficient is divided by D exactly.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
+    shapes = list(hook_partitions(n))
+    weights = [c_lambda(lam) * f_lambda_deriv_at_zero(lam) for lam in shapes]
+    den = lcm(*(w.denominator for w in weights))
     total = Polynomial.zero()
-    for lam in hook_partitions(n):
-        weight = c_lambda(lam) * f_lambda_deriv_at_zero(lam)
-        total = total + f_lambda_poly(lam) * weight
-    coeffs = tuple(_exact_int(Fraction(c), f"signed count coefficient of x^{k}")
-                   for k, c in enumerate(total.coeffs))
-    return Polynomial(coeffs)
+    for lam, w in zip(shapes, weights):
+        total = total + f_lambda_poly(lam) * (w.numerator * (den // w.denominator))
+    return Polynomial(tuple(exact_div(c, den) for c in total.coeffs))
 
 
 def signed_hultman(n: int, k: int) -> int:
@@ -321,11 +321,10 @@ def r_sum(n: int) -> Fraction:
         term = fact[k] * fact[n - k]  # b = 1
         for b in range(1, (n + 1 - k) // 2 + 1):
             inner += term
-            # term(b+1) / term(b) = (k+b) * 2(2b-1) / ((m+2)(m+1)); the
-            # division is exact because term(b+1) is an integer.
+            # term(b+1) / term(b) = (k+b) * 2(2b-1) / ((m+2)(m+1)).
             m = n - k - 2 * b
             if m > 0:
-                term = term * (k + b) * 2 * (2 * b - 1) // ((m + 2) * (m + 1))
+                term = exact_div(term * (k + b) * 2 * (2 * b - 1), (m + 2) * (m + 1))
         if inner == 0:
             continue
         sign = -1 if (n + k) % 2 else 1

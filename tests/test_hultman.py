@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bghultman import census
-from bghultman.exactmath import Polynomial, binomial, harmonic, harmonic_squares
+from bghultman import census, hultman
+from bghultman.exactmath import ExactnessError, Polynomial, binomial, harmonic, harmonic_squares
 from bghultman.hultman import (
     HookPartition,
     MomentPair,
@@ -173,6 +173,33 @@ class TestGeneratingFunctions:
             for k in range(0, n + 3):
                 assert F.coefficient(k) == hultman_bona_flynn(n, k)
                 assert G.coefficient(k) == signed_hultman(n, k)
+
+    def test_integer_sum_matches_fraction_sum(self):
+        # The route signed_gf replaced: add c * F'(0) * F(x) term by term
+        # with Fraction coefficients.
+        for n in range(0, 31):
+            old = Polynomial.zero()
+            for lam in hook_partitions(n):
+                old = old + f_lambda_poly(lam) * (c_lambda(lam) * f_lambda_deriv_at_zero(lam))
+            new = signed_gf(n)
+            assert new == old
+            assert all(type(c) is int for c in new.coeffs)
+
+    def test_perturbed_weight_is_inexact(self, monkeypatch):
+        original = hultman.c_lambda
+
+        def perturbed(lam):
+            weight = original(lam)
+            return weight * Fraction(3, 2) if lam.b == 0 else weight
+
+        signed_gf.cache_clear()
+        monkeypatch.setattr(hultman, "c_lambda", perturbed)
+        try:
+            for n in (3, 5, 8):
+                with pytest.raises(ExactnessError):
+                    signed_gf(n)
+        finally:
+            signed_gf.cache_clear()
 
     def test_unsigned_derivatives_closed_forms(self):
         # First and second derivative of the unsigned generating function at 1,

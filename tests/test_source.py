@@ -14,3 +14,29 @@ def test_library_parses_on_declared_floor():
     assert library and scripts
     for path in library + scripts:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)
+
+
+class _RaiseSites(ast.NodeVisitor):
+    # "<module>.<function>" of every `raise E` or `raise E(...)` for the
+    # exception names in `sites`; a raise outside any function is recorded
+    # as "<module>.<module>".
+    def __init__(self, module, sites):
+        self.where = [module]
+        self.sites = sites
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_Raise(self, node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in self.sites:
+            self.sites[exc.id].append(f"{self.where[0]}.{self.where[-1]}")
+
+
+def test_one_exactness_check_and_one_size_guard():
+    sites = {"ExactnessError": [], "GuardError": []}
+    for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
+        _RaiseSites(path.stem, sites).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert sites == {"ExactnessError": ["exactmath.exact_div"], "GuardError": ["perm.check_size"]}
