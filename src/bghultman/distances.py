@@ -310,20 +310,8 @@ def distance_distribution(n: int, metric: str, force: bool = False) -> Distribut
     """
     if n < 0:
         raise ValueError(f"size must be >= 0, got {n}")
-    if metric == "bid":
-        counts = {}
-        for k in range(0, (n + 1) // 2 + 1):
-            v = hultman_bona_flynn(n, n + 1 - 2 * k)
-            if v:
-                counts[k] = v
-        return DistributionTable(n, "bid", counts)
-    if metric == "dcj":
-        counts = {}
-        for k in range(0, n + 1):
-            v = signed_hultman(n, n + 1 - k)
-            if v:
-                counts[k] = v
-        return DistributionTable(n, "dcj", counts)
+    if metric in FORMULA_METRICS:
+        return DistributionTable(n, metric, _shifted_counts(n, metric == "dcj", 0))
     if metric in BOUND_METRICS:
         return bound_distribution(n, metric, force=force)
     if metric in GENERATOR_SETS:

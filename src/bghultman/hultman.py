@@ -8,7 +8,10 @@ coefficient of the hook polynomial F, and the linear coefficient F'(0).
 The weights share one common denominator, so the sum runs over integer
 polynomials and ends in one exact division per coefficient.
 Generating functions for both cases yield exact means and variances, which
-are also available directly as harmonic-number formulas.
+are also available directly as harmonic-number formulas.  The signed ones
+carry correction sums over the index set A_n; all of them fold one walk over
+A_n that groups it by a - b, so each group is one rational scale times
+integer terms.
 
 All arithmetic is exact; any inexact internal division raises
 ExactnessError, which always indicates a bug rather than bad input.
@@ -220,6 +223,8 @@ def signed_hultman_special(n: int, k: int) -> int:
     k = n+1: only the identity.  k = n: C(n+1, 2), one 2-cycle.  k = n-1:
     5*C(n+1, 4) + 4*C(n+1, 3), two 2-cycles or one 3-cycle.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if k == n + 1:
         return 1
     if k == n:
@@ -301,52 +306,42 @@ def r_coefficient(n: int, a: int, b: int) -> Fraction:
     return Fraction(num, den)
 
 
-def r_sum(n: int) -> Fraction:
-    """Sum of r_n(a, b) over the whole index set A_n.
-
-    Grouped by k = a - b so the inner sums stay in integer arithmetic;
-    direct term-by-term Fraction summation is too slow for n ~ 1000.  Each
-    inner term (a-1)!/(b-1)! * (2b-2)! * (n-a-b+2)! follows from the one
-    before by a small-integer ratio, so the inner loop multiplies no two
-    factorials.
-    """
+def _r_groups(n: int) -> Iterator[tuple[int, Fraction, list[int]]]:
+    # The one walk over A_n: per k = a - b, the group's rational scale and its
+    # positive integer terms (a-1)!/(b-1)! * (2b-2)! * (n-a-b+2)! for b = 1, 2, ...,
+    # so r_n(k + b, b) = scale * terms[b - 1].  Each term follows from the one
+    # before by a small-integer ratio.
     if n < 0:
         raise ValueError("n must be >= 0")
     fact = [1] * (n + 3)
     for i in range(1, n + 3):
         fact[i] = fact[i - 1] * i
-    total = Fraction(0)
     for k in range(0, n):
-        inner = 0
+        terms = []
         term = fact[k] * fact[n - k]  # b = 1
         for b in range(1, (n + 1 - k) // 2 + 1):
-            inner += term
+            terms.append(term)
             # term(b+1) / term(b) = (k+b) * 2(2b-1) / ((m+2)(m+1)).
             m = n - k - 2 * b
             if m > 0:
                 term = exact_div(term * (k + b) * 2 * (2 * b - 1), (m + 2) * (m + 1))
-        if inner == 0:
-            continue
         sign = -1 if (n + k) % 2 else 1
-        den = (
-            2 ** (n - k - 1)
-            * fact[n]
-            * (n + k + 2)
-            * (n + k + 1)
-            * (n - k + 1)
-            * (n - k)
-        )
-        total += Fraction(sign * (n + 1) * (2 * k + 1) * inner, den)
-    return total
+        den = 2 ** (n - k - 1) * fact[n] * (n + k + 2) * (n + k + 1) * (n - k + 1) * (n - k)
+        yield k, Fraction(sign * (n + 1) * (2 * k + 1), den), terms
+
+
+def r_sum(n: int) -> Fraction:
+    """Sum of r_n(a, b) over the whole index set A_n.
+
+    One scale times one integer sum per group k = a - b of the shared walk;
+    term-by-term Fraction summation is too slow for n ~ 1000.
+    """
+    return sum((scale * sum(terms) for _, scale, terms in _r_groups(n)), Fraction(0))
 
 
 def r_abs_sum(n: int) -> Fraction:
     """Sum of |r_n(a, b)| over A_n; bounded by 2(1 - 2^-n)/(n+2)."""
-    total = Fraction(0)
-    for b in range(1, (n + 1) // 2 + 1):
-        for a in range(b, n + 2 - b):
-            total += abs(r_coefficient(n, a, b))
-    return total
+    return sum((abs(scale) * sum(terms) for _, scale, terms in _r_groups(n)), Fraction(0))
 
 
 def signed_mean(n: int) -> Fraction:
@@ -362,26 +357,26 @@ def _odd_reciprocal_squares(n: int) -> Fraction:
 
 
 def signed_variance(n: int) -> Fraction:
-    """Exact variance of the signed cycle count."""
+    """Exact variance of the signed cycle count.
+
+    r_n(a, b) is weighted by the constant 2H_{2n+1} - H_n - 1, applied to
+    each group's integer sum, plus 2H_{n-a-b+1} - 2H_{2a-1} + H_{a-1} - H_{b-1}.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     h = harmonic(2 * n + 1)
     hn = harmonic(n)
-    rsum = Fraction(0)
-    weighted = Fraction(0)
-    for b in range(1, (n + 1) // 2 + 1):
-        for a in range(b, n + 2 - b):
-            r = r_coefficient(n, a, b)
-            rsum += r
-            weighted += r * (
-                2 * h
-                - hn
-                - 2 * harmonic(2 * a - 1)
-                + 2 * harmonic(n - a - b + 1)
-                + harmonic(a - 1)
-                - harmonic(b - 1)
-                - 1
+    rsum = weighted = Fraction(0)
+    for k, scale, terms in _r_groups(n):
+        inner = sum(terms)
+        rsum += scale * inner
+        group = (2 * h - hn - 1) * inner
+        for b, term in enumerate(terms, 1):
+            a = k + b
+            group += term * (
+                2 * harmonic(n - a - b + 1) - 2 * harmonic(2 * a - 1) + harmonic(a - 1) - harmonic(b - 1)
             )
+        weighted += scale * group
     return h - hn / 2 - _odd_reciprocal_squares(n) - rsum * rsum + weighted
 
 

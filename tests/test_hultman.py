@@ -24,6 +24,7 @@ from bghultman.hultman import (
     signed_hultman_special,
     signed_mean,
     signed_moments,
+    signed_variance,
     sury_identity_check,
     unsigned_gf,
     unsigned_mean,
@@ -149,6 +150,8 @@ class TestSignedFormula:
             signed_hultman_special(4, 2)
         with pytest.raises(ValueError):
             signed_hultman_special(0, -1)
+        with pytest.raises(ValueError):
+            signed_hultman_special(-1, 0)
 
 
 class TestGeneratingFunctions:
@@ -244,6 +247,7 @@ class TestMoments:
     def test_matches_generating_functions(self):
         for n in range(0, 13):
             assert gf_moments(unsigned_gf(n)) == unsigned_moments(n)
+        for n in range(0, 31):
             assert gf_moments(signed_gf(n)) == signed_moments(n)
 
     def test_census_oracle(self):
@@ -263,6 +267,8 @@ class TestRCoefficients:
             r_coefficient(3, 1, 2)
         with pytest.raises(ValueError):
             r_coefficient(3, 4, 1)
+        with pytest.raises(ValueError):
+            r_abs_sum(-1)
 
     def test_grouped_sum_matches_direct(self):
         for n in range(0, 21):
@@ -275,6 +281,30 @@ class TestRCoefficients:
                 Fraction(0),
             )
             assert r_sum(n) == direct
+
+    def test_walk_matches_replaced_loops(self):
+        # The routes r_abs_sum and signed_variance replaced: one r_coefficient
+        # per (a, b) of A_n.
+        for n in list(range(0, 41)) + [90]:
+            h, hn = harmonic(2 * n + 1), harmonic(n)
+            rsum = abs_sum = weighted = Fraction(0)
+            for b in range(1, (n + 1) // 2 + 1):
+                for a in range(b, n + 2 - b):
+                    r = r_coefficient(n, a, b)
+                    rsum += r
+                    abs_sum += abs(r)
+                    weighted += r * (
+                        2 * h
+                        - hn
+                        - 2 * harmonic(2 * a - 1)
+                        + 2 * harmonic(n - a - b + 1)
+                        + harmonic(a - 1)
+                        - harmonic(b - 1)
+                        - 1
+                    )
+            odd_squares = harmonic_squares(2 * n + 1) - harmonic_squares(n) / 4
+            assert r_abs_sum(n) == abs_sum
+            assert signed_variance(n) == h - hn / 2 - odd_squares - rsum * rsum + weighted
 
     def test_abs_sum_bound(self):
         for n in range(0, 31):

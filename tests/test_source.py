@@ -40,3 +40,17 @@ def test_one_exactness_check_and_one_size_guard():
     for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
         _RaiseSites(path.stem, sites).visit(ast.parse(path.read_text(encoding="utf-8")))
     assert sites == {"ExactnessError": ["exactmath.exact_div"], "GuardError": ["perm.check_size"]}
+
+
+def test_no_library_call_to_r_coefficient():
+    # r_coefficient is the per-term reference; the library walks A_n only in
+    # hultman._r_groups.
+    callers = []
+    for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "r_coefficient":
+                    callers.append(f"{path.stem}:{node.lineno}")
+    assert callers == []
