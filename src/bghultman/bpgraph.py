@@ -268,15 +268,8 @@ def double(pi: SignedPermutation) -> tuple[int, ...]:
 
 def breakpoint_graph(pi: SignedPermutation) -> BreakpointGraph:
     """Breakpoint graph of pi: black edges join doubled positions (2i, 2i+1)."""
-    d = double(pi)
-    size = len(d)
-    partner = [0] * size
-    for i in range(0, size, 2):
-        u, w = d[i], d[i + 1]
-        partner[u] = w
-        partner[w] = u
-    config = Configuration(pi.n, PerfectMatching(tuple(partner)))
-    return BreakpointGraph(config, pi, d)
+    config = Configuration(pi.n, PerfectMatching(tuple(_black_partner(pi.images))))
+    return BreakpointGraph(config, pi, double(pi))
 
 
 def cycle_profile(config: Configuration) -> CycleProfile:

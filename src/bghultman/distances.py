@@ -143,13 +143,6 @@ _METRIC_WEIGHT = {
 }
 
 
-def _cycle_stats(lengths: Sequence[int]) -> tuple[int, int, int]:
-    """(c, c_odd, c_1) of a cycle-length list."""
-    c_odd = sum(1 for length in lengths if length % 2 == 1)
-    c_1 = sum(1 for length in lengths if length == 1)
-    return len(lengths), c_odd, c_1
-
-
 def _bound_value(metric: str, n: int, total: int) -> int:
     # ``total`` is the sum of the metric's cycle weight: c, c_odd, or
     # c - 2*c_1 + 2*[first == 1] (census.WEIGHTS), which turns the bounds'
@@ -165,16 +158,25 @@ def _bound_value(metric: str, n: int, total: int) -> int:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _metric_value(images: Sequence[int], metric: str, lengths: list[int] | None = None) -> int:
-    # ``lengths`` is the cycle-length list of ``images`` when the caller has it.
+def _profile(images: Sequence[int]) -> bpgraph.CycleProfile:
+    return bpgraph.CycleProfile(tuple(sorted(bpgraph.cycle_lengths_images(images))))
+
+
+def _metric_value(
+    images: Sequence[int], metric: str, profile: bpgraph.CycleProfile | None = None
+) -> int:
+    # ``profile`` is the cycle profile of ``images`` when the caller has it.
     if metric not in _METRIC_WEIGHT:
         raise ValueError(f"unknown metric {metric!r}")
-    if lengths is None:
-        lengths = bpgraph.cycle_lengths_images(images)
-    c, c_odd, c_1 = _cycle_stats(lengths)
+    if profile is None:
+        profile = _profile(images)
     # The cycle through vertex 0 has length 1 iff the first image is 1, or n = 0.
     zero_singleton = not images or images[0] == 1
-    weights = {"c": c, "c_odd": c_odd, "c_minus_2c_1": c - 2 * c_1 + 2 * zero_singleton}
+    weights = {
+        "c": profile.c,
+        "c_odd": profile.c_odd,
+        "c_minus_2c_1": profile.c - 2 * profile.c_1 + 2 * zero_singleton,
+    }
     return _bound_value(metric, len(images), weights[_METRIC_WEIGHT[metric]])
 
 
@@ -233,15 +235,14 @@ def bound_report(pi: SignedPermutation, metric: str) -> BoundReport:
     # An unknown metric raises in _metric_value.
     if metric in _UNSIGNED_BOUNDS:
         _require_unsigned(pi, metric)
-    lengths = bpgraph.cycle_lengths_images(pi.images)
-    c, c_odd, c_1 = _cycle_stats(lengths)
+    profile = _profile(pi.images)
     return BoundReport(
         permutation=pi,
         metric=metric,
-        value=_metric_value(pi.images, metric, lengths),
-        c=c,
-        c_odd=c_odd,
-        c_1=c_1,
+        value=_metric_value(pi.images, metric, profile),
+        c=profile.c,
+        c_odd=profile.c_odd,
+        c_1=profile.c_1,
         first_is_one=bool(pi.images) and pi.images[0] == 1,
     )
 

@@ -9,9 +9,9 @@ The weights share one common denominator, so the sum runs over integer
 polynomials and ends in one exact division per coefficient.
 Generating functions for both cases yield exact means and variances, which
 are also available directly as harmonic-number formulas.  The signed ones
-carry correction sums over the index set A_n; all of them fold one walk over
-A_n that groups it by a - b, so each group is one rational scale times
-integer terms.
+carry correction sums over the index set A_n, folded from one walk over A_n
+grouped by a - b (one rational scale times integer terms per group);
+signed_moments takes the mean and the variance from a single such walk.
 
 All arithmetic is exact; any inexact internal division raises
 ExactnessError, which always indicates a bug rather than bad input.
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, lcm
 from typing import Iterator
 
@@ -351,37 +352,36 @@ def signed_mean(n: int) -> Fraction:
     return harmonic(2 * n + 1) - harmonic(n) / 2 - r_sum(n)
 
 
-def _odd_reciprocal_squares(n: int) -> Fraction:
-    # Sum of 1/(2k+1)^2 for k = 0..n.
-    return harmonic_squares(2 * n + 1) - harmonic_squares(n) / 4
-
-
 def signed_variance(n: int) -> Fraction:
-    """Exact variance of the signed cycle count.
-
-    r_n(a, b) is weighted by the constant 2H_{2n+1} - H_n - 1, applied to
-    each group's integer sum, plus 2H_{n-a-b+1} - 2H_{2a-1} + H_{a-1} - H_{b-1}.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    h = harmonic(2 * n + 1)
-    hn = harmonic(n)
-    rsum = weighted = Fraction(0)
-    for k, scale, terms in _r_groups(n):
-        inner = sum(terms)
-        rsum += scale * inner
-        group = (2 * h - hn - 1) * inner
-        for b, term in enumerate(terms, 1):
-            a = k + b
-            group += term * (
-                2 * harmonic(n - a - b + 1) - 2 * harmonic(2 * a - 1) + harmonic(a - 1) - harmonic(b - 1)
-            )
-        weighted += scale * group
-    return h - hn / 2 - _odd_reciprocal_squares(n) - rsum * rsum + weighted
+    """Exact variance of the signed cycle count."""
+    return signed_moments(n).variance
 
 
 def signed_moments(n: int) -> MomentPair:
-    return MomentPair(signed_mean(n), signed_variance(n))
+    """Exact signed mean and variance from one walk over A_n.
+
+    The mean is H_{2n+1} - H_n/2 - r_sum(n).  The variance weights r_n(a, b)
+    by 2H_{2n+1} - H_n - 1 + 2H_{n-a-b+1} - 2H_{2a-1} + H_{a-1} - H_{b-1},
+    taken from hnum[j] = den * H_j with den = lcm(1..2n+1): each group's
+    weighted sum is one integer, and the walk ends in one division by den.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    den = lcm(*range(1, 2 * n + 2))
+    hnum = list(accumulate((den // j for j in range(1, 2 * n + 2)), initial=0))
+    const = 2 * hnum[2 * n + 1] - hnum[n] - den
+    rsum = weighted = Fraction(0)
+    for k, scale, terms in _r_groups(n):
+        inner = sum(terms)
+        group = const * inner
+        for b, term in enumerate(terms, 1):
+            a = k + b
+            group += term * (2 * hnum[n - a - b + 1] - 2 * hnum[2 * a - 1] + hnum[a - 1] - hnum[b - 1])
+        rsum += scale * inner
+        weighted += scale * group
+    base = harmonic(2 * n + 1) - harmonic(n) / 2
+    odd_sq = harmonic_squares(2 * n + 1) - harmonic_squares(n) / 4  # sum of 1/(2k+1)^2, k <= n
+    return MomentPair(base - rsum, base - odd_sq - rsum * rsum + weighted / den)
 
 
 def sury_identity_check(n: int) -> tuple[Fraction, Fraction]:

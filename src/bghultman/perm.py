@@ -211,6 +211,8 @@ def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int
 
 def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
     """Raw lexicographic stream of signed image tuples (census hot path)."""
+    if first is not None and not 1 <= abs(first) <= n:
+        raise PermutationError(f"first image {first} outside range for n={n}")
     if n == 0:
         yield ()
         return
@@ -234,10 +236,7 @@ def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, 
     if first is None:
         yield from rec(0)
     else:
-        a = abs(first)
-        if not 1 <= a <= n:
-            raise PermutationError(f"first image {first} outside range for n={n}")
-        used[a] = True
+        used[abs(first)] = True
         acc[0] = first
         yield from rec(1)
 

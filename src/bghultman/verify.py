@@ -18,6 +18,7 @@ from .hultman import (
     hultman_bona_flynn,
     hultman_new_formula,
     r_abs_sum,
+    r_sum,
     signed_gf,
     signed_hultman,
     signed_hultman_special,
@@ -191,7 +192,8 @@ def moments(max_n: int) -> Checks:
                 ok = False
     yield "moments.generating_function", ok, f"derivative route agrees for n<={gf_to}"
     ok = all(
-        r_abs_sum(n) <= Fraction(2) * (1 - Fraction(1, 2**n)) / (n + 2) for n in range(0, 31)
+        abs(r_sum(n)) <= r_abs_sum(n) <= Fraction(2) * (1 - Fraction(1, 2**n)) / (n + 2)
+        for n in range(0, 31)
     )
     yield "moments.r_sum_bound", ok, "correction coefficients within the stated bound"
     ok = all(sury_identity_check(n)[0] == sury_identity_check(n)[1] for n in range(0, 51))

@@ -303,13 +303,29 @@ class TestRCoefficients:
                         - 1
                     )
             odd_squares = harmonic_squares(2 * n + 1) - harmonic_squares(n) / 4
+            variance = h - hn / 2 - odd_squares - rsum * rsum + weighted
             assert r_abs_sum(n) == abs_sum
-            assert signed_variance(n) == h - hn / 2 - odd_squares - rsum * rsum + weighted
+            assert signed_variance(n) == variance
+            assert signed_moments(n) == MomentPair(h - hn / 2 - rsum, variance)
+
+    def test_moments_walk_once(self, monkeypatch):
+        calls = []
+        walk = hultman._r_groups
+
+        def counting_walk(n):
+            calls.append(n)
+            return walk(n)
+
+        monkeypatch.setattr(hultman, "_r_groups", counting_walk)
+        for n in (0, 1, 7):
+            calls.clear()
+            signed_moments(n)
+            assert calls == [n]
 
     def test_abs_sum_bound(self):
         for n in range(0, 31):
             bound = Fraction(2) * (1 - Fraction(1, 2**n)) / (n + 2)
-            assert r_abs_sum(n) <= bound
+            assert abs(r_sum(n)) <= r_abs_sum(n) <= bound
 
     def test_mean_uses_r_sum(self):
         for n in range(0, 9):

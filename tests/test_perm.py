@@ -151,6 +151,12 @@ class TestEnumeration:
         # A negative first image is out of range for an unsigned stream.
         with pytest.raises(PermutationError):
             next(iter_images_unsigned(3, -1))
+        # n = 0 has no first image: only the unsplit stream yields ().
+        for it in (iter_images_unsigned, iter_images_signed):
+            assert list(it(0)) == [()]
+            for first in (1, -1, 5):
+                with pytest.raises(PermutationError):
+                    next(it(0, first))
 
     def test_guards(self):
         with pytest.raises(GuardError):
