@@ -6,14 +6,18 @@ double-cut-and-join distance n+1-c for signed ones.  The other supported
 distances are NP-hard or open, so this module provides their cycle-based
 lower bounds plus an exact brute-force oracle: breadth-first search over the
 whole group from the identity, for any of the supported generator sets.
-BFS levels double as exact distance distributions at desk scale.
+BFS levels double as exact distance distributions at desk scale.  Every
+move is a position map: the new state picks its entries, some negated, from
+fixed positions of the old one, so one itemgetter applies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator, Sequence
+from functools import lru_cache, partial
+from itertools import combinations_with_replacement
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from . import bpgraph
 from .census import DistributionTable, _run_census
@@ -49,83 +53,70 @@ BFS_SIGNED_GUARD = 6
 
 Images = tuple[int, ...]
 
-
-def _reversal_moves(t: Images) -> Iterator[Images]:
-    n = len(t)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            yield t[:i] + t[i : j + 1][::-1] + t[j + 1 :]
-
-
-def _prefix_reversal_moves(t: Images) -> Iterator[Images]:
-    n = len(t)
-    for j in range(1, n):
-        yield t[: j + 1][::-1] + t[j + 1 :]
-
-
-def _signed_reversal_moves(t: Images) -> Iterator[Images]:
-    n = len(t)
-    for i in range(n):
-        for j in range(i, n):
-            mid = tuple(-x for x in reversed(t[i : j + 1]))
-            yield t[:i] + mid + t[j + 1 :]
+# Each generator set's moves, as the smallest gaps between consecutive cut
+# points 0 <= c_0 <= ... <= c_k <= n.  Two cuts bound a reversed segment; with
+# more, the blocks between the cuts trade places in reverse order.  A prefix
+# set fixes c_0 = 0.
+_CUT_GAPS: dict[str, tuple[int, ...]] = {
+    "reversal": (2,),
+    "prefix_reversal": (2,),
+    "transposition": (1, 1),
+    "prefix_transposition": (1, 1),
+    "block_interchange": (1, 0, 1),
+    "signed_reversal": (1,),
+    "prefix_signed_reversal": (1,),
+}
 
 
-def _prefix_signed_reversal_moves(t: Images) -> Iterator[Images]:
-    n = len(t)
-    for j in range(n):
-        yield tuple(-x for x in reversed(t[: j + 1])) + t[j + 1 :]
-
-
-def _transposition_moves(t: Images) -> Iterator[Images]:
-    n = len(t)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n + 1):
-                yield t[:i] + t[j:k] + t[i:j] + t[k:]
-
-
-def _prefix_transposition_moves(t: Images) -> Iterator[Images]:
-    n = len(t)
-    for j in range(1, n):
-        for k in range(j + 1, n + 1):
-            yield t[j:k] + t[:j] + t[k:]
-
-
-def _block_interchange_moves(t: Images) -> Iterator[Images]:
-    n = len(t)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                for l in range(k + 1, n + 1):
-                    yield t[:i] + t[k:l] + t[j:k] + t[i:j] + t[l:]
+@lru_cache(maxsize=None)
+def _move_getters(name: str, n: int) -> tuple[Callable[[Images], Images], ...]:
+    # One itemgetter per move over t + (-t): index p < n reads t[p], and
+    # n + p reads -t[p].  Signed sets negate what they reverse.
+    gaps = _CUT_GAPS[name]
+    shift = n if "signed_" in name else 0
+    getters = []
+    for cuts in combinations_with_replacement(range(n + 1), len(gaps) + 1):
+        if name.startswith("prefix_") and cuts[0]:
+            continue
+        if any(b - a < gap for a, b, gap in zip(cuts, cuts[1:], gaps)):
+            continue
+        first, last = cuts[0], cuts[-1]
+        blocks = zip(cuts, cuts[1:]) if len(cuts) > 2 else ((p, p + 1) for p in range(first, last))
+        moved = [p + shift for a, b in reversed(list(blocks)) for p in range(a, b)]
+        index = [*range(first), *moved, *range(last, n)]
+        # With one index an itemgetter returns the item, not a 1-tuple.
+        getters.append(itemgetter(*index) if n > 1 else itemgetter(slice(index[0], index[0] + 1)))
+    return tuple(getters)
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
     """A named move set generating S_n or its signed counterpart.
 
-    Every supported set is closed under inverses, so undirected BFS from the
-    identity computes true left-invariant sorting distances.
+    Every move is a right multiplication by a fixed signed permutation, so
+    undirected BFS from the identity (every set is closed under inverses)
+    computes true left-invariant sorting distances.
     """
 
     name: str
-    signed: bool
-    moves: Callable[[Images], Iterator[Images]]
+
+    def __post_init__(self) -> None:
+        if self.name not in _CUT_GAPS:
+            raise ValueError(f"unknown generator set {self.name!r}")
+
+    @property
+    def signed(self) -> bool:
+        return "signed_" in self.name
+
+    def moves(self, t: Images) -> list[Images]:
+        """Every state one move away from ``t``."""
+        getters = _move_getters(self.name, len(t))
+        if self.signed:
+            t = t + tuple([-x for x in t])
+        return [get(t) for get in getters]
 
 
-GENERATOR_SETS: dict[str, GeneratorSet] = {
-    g.name: g
-    for g in (
-        GeneratorSet("reversal", False, _reversal_moves),
-        GeneratorSet("prefix_reversal", False, _prefix_reversal_moves),
-        GeneratorSet("transposition", False, _transposition_moves),
-        GeneratorSet("prefix_transposition", False, _prefix_transposition_moves),
-        GeneratorSet("block_interchange", False, _block_interchange_moves),
-        GeneratorSet("signed_reversal", True, _signed_reversal_moves),
-        GeneratorSet("prefix_signed_reversal", True, _prefix_signed_reversal_moves),
-    )
-}
+GENERATOR_SETS: dict[str, GeneratorSet] = {name: GeneratorSet(name) for name in _CUT_GAPS}
 
 FORMULA_METRICS = ("bid", "dcj")
 BOUND_METRICS = ("srd_lower", "td_lower", "ptd_lower", "psrd_lower")
@@ -248,12 +239,8 @@ def bound_report(pi: SignedPermutation, metric: str) -> BoundReport:
 
 
 def _resolve_generator(metric: str | GeneratorSet) -> GeneratorSet:
-    if isinstance(metric, GeneratorSet):
-        return metric
-    try:
-        return GENERATOR_SETS[metric]
-    except KeyError:
-        raise ValueError(f"unknown generator set {metric!r}") from None
+    # An unknown name raises ValueError in GeneratorSet.
+    return metric if isinstance(metric, GeneratorSet) else GeneratorSet(metric)
 
 
 def bfs_distances(

@@ -6,6 +6,7 @@ import pytest
 from bghultman import distances as D
 from bghultman.distances import (
     GENERATOR_SETS,
+    GeneratorSet,
     bfs_distances,
     bfs_level_sizes,
     bid,
@@ -32,6 +33,70 @@ from bghultman.perm import (
 )
 
 FIG2_PERM = validate([-5, 1, 2, 4, -7, -3, 6])
+
+
+# The slicing move generators the position maps replaced, kept as the
+# reference that GeneratorSet.moves must equal.
+def _reversal_moves(t):
+    n = len(t)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            yield t[:i] + t[i : j + 1][::-1] + t[j + 1 :]
+
+
+def _prefix_reversal_moves(t):
+    n = len(t)
+    for j in range(1, n):
+        yield t[: j + 1][::-1] + t[j + 1 :]
+
+
+def _signed_reversal_moves(t):
+    n = len(t)
+    for i in range(n):
+        for j in range(i, n):
+            mid = tuple(-x for x in reversed(t[i : j + 1]))
+            yield t[:i] + mid + t[j + 1 :]
+
+
+def _prefix_signed_reversal_moves(t):
+    n = len(t)
+    for j in range(n):
+        yield tuple(-x for x in reversed(t[: j + 1])) + t[j + 1 :]
+
+
+def _transposition_moves(t):
+    n = len(t)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n + 1):
+                yield t[:i] + t[j:k] + t[i:j] + t[k:]
+
+
+def _prefix_transposition_moves(t):
+    n = len(t)
+    for j in range(1, n):
+        for k in range(j + 1, n + 1):
+            yield t[j:k] + t[:j] + t[k:]
+
+
+def _block_interchange_moves(t):
+    n = len(t)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                for l in range(k + 1, n + 1):
+                    yield t[:i] + t[k:l] + t[j:k] + t[i:j] + t[l:]
+
+
+SLICING_MOVES = {
+    "reversal": _reversal_moves,
+    "prefix_reversal": _prefix_reversal_moves,
+    "transposition": _transposition_moves,
+    "prefix_transposition": _prefix_transposition_moves,
+    "block_interchange": _block_interchange_moves,
+    "signed_reversal": _signed_reversal_moves,
+    "prefix_signed_reversal": _prefix_signed_reversal_moves,
+}
 
 
 class TestFormulaDistances:
@@ -164,6 +229,43 @@ class TestBFS:
                 for t in gset.moves(s):
                     assert s in set(gset.moves(t)), name
 
+    def test_moves_equal_slicing_reference(self):
+        assert set(SLICING_MOVES) == set(GENERATOR_SETS)
+        for name, gset in GENERATOR_SETS.items():
+            stream = iter_images_signed if gset.signed else iter_images_unsigned
+            for n in range(0, 6 if gset.signed else 7):
+                for t in stream(n):
+                    assert sorted(gset.moves(t)) == sorted(SLICING_MOVES[name](t)), (name, t)
+
+    def test_moves_are_right_multiplications(self):
+        # t's neighbours are t composed with the identity's neighbours, which
+        # is why distances from a BFS at the identity are left-invariant.
+        for name, gset in GENERATOR_SETS.items():
+            stream = iter_images_signed if gset.signed else iter_images_unsigned
+            for n in range(0, 6):
+                generators = [SignedPermutation(g) for g in gset.moves(identity(n).images)]
+                for t in list(stream(n))[::7]:
+                    pi = SignedPermutation(t)
+                    expected = sorted(compose(pi, g).images for g in generators)
+                    assert sorted(gset.moves(t)) == expected, (name, t)
+
+    def test_block_interchange_matches_closed_form(self):
+        # Christie (1996): block-interchange distance is (n+1-c)/2.
+        for n in range(0, 8):
+            bfs = distance_distribution(n, "block_interchange").counts
+            assert bfs == distance_distribution(n, "bid").counts, n
+
+    @pytest.mark.parametrize(
+        "name, diameters",
+        [
+            ("prefix_reversal", [0, 1, 3, 4, 5, 7, 8, 9]),  # pancake numbers, OEIS A058986
+            ("prefix_signed_reversal", [1, 4, 6, 8, 10, 12]),  # burnt pancakes, OEIS A078941
+        ],
+    )
+    def test_known_diameters(self, name, diameters):
+        for n, diameter in enumerate(diameters, start=1):
+            assert max(bfs_level_sizes(n, name)) == diameter, n
+
     def test_left_invariance_spot_check(self):
         for name in ("reversal", "prefix_transposition", "signed_reversal"):
             gset = GENERATOR_SETS[name]
@@ -194,6 +296,8 @@ class TestBFS:
             bfs_distances(7, "signed_reversal")
         with pytest.raises(ValueError):
             bfs_distances(3, "unknown_moves")
+        with pytest.raises(ValueError):
+            GeneratorSet("pancake")
         with pytest.raises(ValueError):
             bfs_distances(-1, "transposition")
         with pytest.raises(ValueError):
