@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="exact means and variances for n = 1..N")
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--max-n", type=_int_at_least(0), required=True, dest="max_n")
+    p.add_argument("--max-n", type=_int_at_least(1), required=True, dest="max_n")
     _add_output_flags(p)
     p.set_defaults(func=cmd_moments)
 

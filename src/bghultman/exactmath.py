@@ -3,17 +3,20 @@
 Every count and moment in this library is exact.  Integers are Python's
 arbitrary-precision ``int`` and rationals are ``fractions.Fraction``.
 ``exact_div`` is the one exactness check: every division that must leave
-no remainder goes through it.  The ``Polynomial`` class stores exact
-coefficients densely in ascending-degree order, which is the right shape for
-factorial polynomials and generating functions whose degree stays small (at
-most a few dozen here).
+no remainder goes through it, whether of integers or of polynomials by a
+monic divisor.  The ``Polynomial`` class stores exact coefficients densely
+in ascending-degree order, which is the right shape for factorial
+polynomials and generating functions whose degree stays small (at most a
+few hundred here).  Products of linear factors are built one factor at a
+time (``times_linear``), and a known linear factor is taken out again by
+exact synthetic division (``over_linear``), each in O(degree) steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from typing import Iterable, Union
 
@@ -34,12 +37,15 @@ __all__ = [
 ]
 
 
+_Dividend = Union[int, "Polynomial"]
+
+
 class ExactnessError(ArithmeticError):
     """A division that must be exact left a remainder; indicates a bug."""
 
 
-def exact_div(a: int, b: int) -> int:
-    """Integer division that refuses to round."""
+def exact_div(a: _Dividend, b: _Dividend) -> _Dividend:
+    """Division that refuses to round: of integers, or of polynomials by a monic one."""
     q, r = divmod(a, b)
     if r:
         raise ExactnessError(f"inexact division: {a} / {b}")
@@ -80,6 +86,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def coefficient(self, k: int) -> Scalar:
         """Coefficient of x^k; zero beyond the degree (and for k < 0)."""
         if k < 0 or k >= len(self.coeffs):
@@ -114,6 +123,29 @@ class Polynomial:
             return Polynomial(tuple(out))
         return Polynomial(tuple(c * other for c in self.coeffs))
 
+    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder by a monic polynomial, by long division."""
+        d = other.coeffs
+        if not d or d[-1] != 1:
+            raise ValueError("divisor must be monic")
+        top = len(d) - 1
+        rem = list(self.coeffs)
+        quot = [0] * max(len(rem) - top, 0)
+        for k in reversed(range(len(quot))):
+            q = quot[k] = rem[k + top]
+            for j in range(top):
+                rem[k + j] -= q * d[j]
+        return Polynomial(tuple(quot)), Polynomial(tuple(rem[:top]))
+
+    def times_linear(self, c: Scalar) -> "Polynomial":
+        """This polynomial times (x + c), in O(degree) coefficient operations."""
+        a = self.coeffs
+        return Polynomial(tuple([lo + c * hi for lo, hi in zip((0, *a), (*a, 0))]))
+
+    def over_linear(self, c: Scalar) -> "Polynomial":
+        """This polynomial divided by (x + c); a remainder raises ExactnessError."""
+        return exact_div(self, Polynomial((c, 1)))
+
     def evaluate(self, x: Scalar) -> Scalar:
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""
         acc: Scalar = 0
@@ -128,18 +160,12 @@ class Polynomial:
 def linear_product(offsets: Iterable[Scalar]) -> Polynomial:
     """Product of linear factors (x + a) over the given offsets.
 
-    Runs in O(len * degree) coefficient operations, which beats repeated
-    generic multiplication for the factorial polynomials built here.
+    A fold of ``times_linear`` from the constant 1: O(len * degree)
+    coefficient operations, which beats repeated generic multiplication for
+    the factorial polynomials built here.  Where a neighbouring product is at
+    hand, one ``times_linear`` and one ``over_linear`` step are cheaper still.
     """
-    coeffs: list[Scalar] = [1]
-    for a in offsets:
-        nxt: list[Scalar] = [0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            if a != 0:
-                nxt[k] += a * c
-        coeffs = nxt
-    return Polynomial(tuple(coeffs))
+    return reduce(Polynomial.times_linear, offsets, Polynomial.constant(1))
 
 
 def rising_factorial_poly(n: int) -> Polynomial:

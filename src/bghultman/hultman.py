@@ -5,8 +5,13 @@ number of the first kind by a binomial, and an average of falling-factorial
 coefficients.  Signed counts sum over hook-shaped partitions (a, b, 1^m) of
 n+1, combining three ingredients per partition: a rational weight, a
 coefficient of the hook polynomial F, and the linear coefficient F'(0).
+The hook polynomials are walked in hook_partitions order, each built from
+its neighbour: along a row b, F(a+1, b) is F(a, b) times one linear factor
+over another, so only the first shape of each row and the single-row shape
+take a full product, and signed_gf(n) costs O(n^3) coefficient operations.
 The weights share one common denominator, so the sum runs over integer
-polynomials and ends in one exact division per coefficient.
+polynomials and ends in one exact division per coefficient.  The unsigned
+falling-factorial route slides its window of factors the same way.
 Generating functions for both cases yield exact means and variances, which
 are also available directly as harmonic-number formulas.  The signed ones
 carry correction sums over the index set A_n, folded from one walk over A_n
@@ -24,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, lcm
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exactmath import (
     Polynomial,
@@ -117,10 +122,13 @@ def hultman_bona_flynn(n: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def _falling_sum_poly(n: int) -> Polynomial:
     # Sum over i = 1..n+1 of the length-(n+1) falling factorial shifted by
-    # n-i+1; dividing its coefficients by n+1 gives the unsigned counts.
-    total = Polynomial.zero()
-    for i in range(1, n + 2):
-        total = total + shifted_falling_factorial_poly(n - i + 1, n + 1)
+    # n-i+1, (x+n-i+1)(x+n-i)...(x-i+1); dividing its coefficients by n+1
+    # gives the unsigned counts.  Each term slides the previous one's window
+    # down by one: gain the factor (x-i+1), lose (x+n-i+2).
+    term = total = shifted_falling_factorial_poly(n, n + 1)
+    for i in range(2, n + 2):
+        term = term.times_linear(1 - i).over_linear(n - i + 2)
+        total = total + term
     return total
 
 
@@ -138,12 +146,14 @@ def hultman_new_formula(n: int, k: int) -> int:
 
 
 def f_lambda_poly(lam: HookPartition) -> Polynomial:
-    """Hook polynomial F for a shape of n+1.
+    """Hook polynomial F for a shape of n+1, as one full product.
 
     Product form with integer coefficients:
     (x+2a-2)(x+2a-4)...(x+2b) times the falling factorial of length
     n+1-a+b starting at x+2b-2.  The first factor absorbs the power of two
-    attached to the half-argument falling factorial.
+    attached to the half-argument falling factorial.  Moving to (a+1, b)
+    gains the factor (x+2a) and loses the last one, (x+a+b-2-n); signed_gf
+    takes that step instead of calling this for every shape.
     """
     a, b, n = lam.a, lam.b, lam.n
     offsets = [2 * j for j in range(b, a)]
@@ -190,13 +200,32 @@ def c_lambda(lam: HookPartition) -> Fraction:
     return Fraction(num, den)
 
 
+def _hook_polys(shapes: Iterable[HookPartition]) -> Iterator[Polynomial]:
+    # F for each shape in turn.  A shape one step along the previous shape's
+    # row, (a+1, b) after (a, b), is F(a, b) * (x+2a) / (x+a+b-2-n): one
+    # multiply and one exact division, O(n) each.  Any other shape (the
+    # first of a row, the single-row shape) is a full product.
+    prev = poly = None
+    for lam in shapes:
+        if prev and (lam.n, lam.b, lam.a) == (prev.n, prev.b, prev.a + 1):
+            a, b, n = prev.a, prev.b, prev.n
+            poly = poly.times_linear(2 * a).over_linear(a + b - 2 - n)
+        else:
+            poly = f_lambda_poly(lam)
+        prev = lam
+        yield poly
+
+
 @lru_cache(maxsize=None)
 def signed_gf(n: int) -> Polynomial:
     """Generating function of signed counts: sum of c * F(x) * F'(0).
 
     The weights c * F'(0) are rational; they are brought to one common
     denominator D, the integer polynomials F(x) * (weight * D) are summed,
-    and each coefficient is divided by D exactly.
+    and each coefficient is divided by D exactly.  The F are walked in
+    hook_partitions order, each from its neighbour in the row (one linear
+    multiply and one exact linear division), so only the (n+1)//2 + 1 row
+    starts are full products: O(n^3) coefficient operations in all.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -204,8 +233,8 @@ def signed_gf(n: int) -> Polynomial:
     weights = [c_lambda(lam) * f_lambda_deriv_at_zero(lam) for lam in shapes]
     den = lcm(*(w.denominator for w in weights))
     total = Polynomial.zero()
-    for lam, w in zip(shapes, weights):
-        total = total + f_lambda_poly(lam) * (w.numerator * (den // w.denominator))
+    for poly, w in zip(_hook_polys(shapes), weights):
+        total = total + poly * (w.numerator * (den // w.denominator))
     return Polynomial(tuple(exact_div(c, den) for c in total.coeffs))
 
 

@@ -208,6 +208,7 @@ class TestBadInput:
             "dist --metric bid --n -2",
             "dist --metric td_lower --n -1",
             "moments --max-n -3",
+            "moments --max-n 0",
             "census --n -1",
             "census --n 3 --jobs -4",
             "census --n 3 --jobs 0",

@@ -190,3 +190,37 @@ class TestPolynomialRing:
         for a in offsets:
             direct = direct * Polynomial((a, 1))
         assert linear_product(offsets) == direct
+
+    @given(polys, scalars)
+    def test_times_linear_matches_generic_mul(self, a, c):
+        assert a.times_linear(c) == a * Polynomial((c, 1))
+
+    @given(polys, st.integers(min_value=-10, max_value=10))
+    def test_times_then_over_linear_round_trip(self, a, c):
+        assert a.times_linear(c).over_linear(c) == a
+
+    def test_over_linear_remainder_raises(self):
+        # x^2 + 1 has no real root, so (x + c) never divides it.
+        p = Polynomial((1, 0, 1))
+        for c in (0, 1, -1, 3):
+            with pytest.raises(ExactnessError):
+                p.over_linear(c)
+        with pytest.raises(ExactnessError):
+            linear_product([2, -1]).over_linear(1)
+        assert linear_product([2, -1, 5]).over_linear(-1) == linear_product([2, 5])
+
+    @given(polys, st.lists(coeff, max_size=3))
+    @settings(max_examples=50)
+    def test_divmod_by_monic(self, a, low):
+        b = Polynomial((*low, 1))
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+        with pytest.raises(ValueError):
+            divmod(a, Polynomial((1, 2)))
+
+    def test_exact_div_of_polynomials(self):
+        p = linear_product([1, 2, 3])
+        assert exact_div(p, Polynomial((2, 1))) == linear_product([1, 3])
+        with pytest.raises(ExactnessError):
+            exact_div(p, Polynomial((4, 1)))

@@ -1,12 +1,20 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bghultman import census, hultman
-from bghultman.exactmath import ExactnessError, Polynomial, binomial, harmonic, harmonic_squares
+from bghultman.exactmath import (
+    ExactnessError,
+    Polynomial,
+    binomial,
+    exact_div,
+    harmonic,
+    harmonic_squares,
+    linear_product,
+)
 from bghultman.hultman import (
     HookPartition,
     MomentPair,
@@ -108,6 +116,12 @@ class TestHookPolynomials:
             for lam in hook_partitions(n):
                 assert f_lambda_poly(lam).coefficient(1) == f_lambda_deriv_at_zero(lam)
 
+    def test_walk_matches_products(self):
+        for n in range(0, 31):
+            shapes = list(hook_partitions(n))
+            walked = list(hultman._hook_polys(shapes))
+            assert walked == [f_lambda_poly(lam) for lam in shapes]
+
     def test_c_lambda_examples(self):
         assert c_lambda(HookPartition(1, 1, 1)) == Fraction(-1, 3)
         assert c_lambda(HookPartition(2, 0, 1)) == Fraction(1, 3)
@@ -187,6 +201,35 @@ class TestGeneratingFunctions:
             new = signed_gf(n)
             assert new == old
             assert all(type(c) is int for c in new.coeffs)
+
+    def test_walk_matches_replaced_products(self):
+        # The route the hook walk replaced: one full linear_product per
+        # shape, summed over the common denominator.
+        for n in [*range(0, 31), 60]:
+            shapes = list(hook_partitions(n))
+            weights = [c_lambda(lam) * f_lambda_deriv_at_zero(lam) for lam in shapes]
+            den = lcm(*(w.denominator for w in weights))
+            total = Polynomial.zero()
+            for lam, w in zip(shapes, weights):
+                a, b = lam.a, lam.b
+                offsets = [2 * j for j in range(b, a)]
+                offsets += [2 * b - 2 - t for t in range(n + 1 - a + b)]
+                total = total + linear_product(offsets) * (w.numerator * (den // w.denominator))
+            assert signed_gf(n) == Polynomial(tuple(exact_div(c, den) for c in total.coeffs))
+
+    def test_full_products_only_at_row_starts(self, monkeypatch):
+        calls = []
+        product = hultman.linear_product
+
+        def counting_product(offsets):
+            calls.append(offsets)
+            return product(offsets)
+
+        monkeypatch.setattr(hultman, "linear_product", counting_product)
+        for n in (0, 1, 2, 7, 20, 80):
+            calls.clear()
+            hultman.signed_gf.__wrapped__(n)
+            assert len(calls) <= (n + 1) // 2 + 1
 
     def test_perturbed_weight_is_inexact(self, monkeypatch):
         original = hultman.c_lambda
