@@ -76,8 +76,7 @@ def _write_distribution(table: census.DistributionTable, args: argparse.Namespac
 def cmd_census(args: argparse.Namespace) -> int:
     if args.statistic == "odd":
         if args.signed:
-            print("error: the odd-cycle census is defined for unsigned permutations", file=sys.stderr)
-            return 2
+            raise ValueError("the odd-cycle census is defined for unsigned permutations")
         table = census.odd_hultman_census(args.n, force=args.force)
     elif args.signed:
         table = census.signed_hultman_census(args.n, force=args.force)

@@ -9,6 +9,11 @@ whole group from the identity, for any of the supported generator sets.
 BFS levels double as exact distance distributions at desk scale.  Every
 move is a position map: the new state picks its entries, some negated, from
 fixed positions of the old one, so one itemgetter applies it.
+
+Each cycle-based metric is one row of ``_METRICS``: its group (signed or
+unsigned), the census weight whose per-cycle sum it reads, and its formula
+in n and that sum.  The per-permutation functions, the census tallies and
+the closed-form tables all read that row.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import bpgraph
 from .census import DistributionTable, _run_census
@@ -120,33 +125,25 @@ GENERATOR_SETS: dict[str, GeneratorSet] = {name: GeneratorSet(name) for name in 
 
 FORMULA_METRICS = ("bid", "dcj")
 BOUND_METRICS = ("srd_lower", "td_lower", "ptd_lower", "psrd_lower")
-_UNSIGNED_BOUNDS = {"bid", "td_lower", "ptd_lower"}
 
 
-# The per-cycle weight (see census.WEIGHTS) whose sum each metric reads.
-_METRIC_WEIGHT = {
-    "bid": "c",
-    "dcj": "c",
-    "srd_lower": "c",
-    "td_lower": "c_odd",
-    "ptd_lower": "c_minus_2c_1",
-    "psrd_lower": "c_minus_2c_1",
+class _Metric(NamedTuple):
+    signed: bool  # the group the metric is defined on
+    weight: str  # the per-cycle weight (see census.WEIGHTS) whose sum it reads
+    value: Callable[[int, int], int]  # (n, weighted sum) -> metric value
+
+
+# One row per cycle-based metric.  The "c_minus_2c_1" sum is
+# c - 2*c_1 + 2*[first == 1] (census.WEIGHTS), which turns the prefix
+# bounds' [first != 1] term into a constant.
+_METRICS: dict[str, _Metric] = {
+    "bid": _Metric(False, "c", lambda n, c: exact_div(n + 1 - c, 2)),
+    "dcj": _Metric(True, "c", lambda n, c: n + 1 - c),
+    "srd_lower": _Metric(True, "c", lambda n, c: n + 1 - c),
+    "td_lower": _Metric(False, "c_odd", lambda n, c_odd: exact_div(n + 1 - c_odd, 2)),
+    "ptd_lower": _Metric(False, "c_minus_2c_1", lambda n, w: max(0, exact_div(n + 1 + w, 2) - 1)),
+    "psrd_lower": _Metric(True, "c_minus_2c_1", lambda n, w: max(0, n + 1 + w - 2)),
 }
-
-
-def _bound_value(metric: str, n: int, total: int) -> int:
-    # ``total`` is the sum of the metric's cycle weight: c, c_odd, or
-    # c - 2*c_1 + 2*[first == 1] (census.WEIGHTS), which turns the bounds'
-    # [first != 1] term into a constant.
-    if metric in ("bid", "td_lower"):
-        return exact_div(n + 1 - total, 2)
-    if metric in ("dcj", "srd_lower"):
-        return n + 1 - total
-    if metric == "ptd_lower":
-        return max(0, exact_div(n + 1 + total, 2) - 1)
-    if metric == "psrd_lower":
-        return max(0, n + 1 + total - 2)
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 def _profile(images: Sequence[int]) -> bpgraph.CycleProfile:
@@ -157,8 +154,11 @@ def _metric_value(
     images: Sequence[int], metric: str, profile: bpgraph.CycleProfile | None = None
 ) -> int:
     # ``profile`` is the cycle profile of ``images`` when the caller has it.
-    if metric not in _METRIC_WEIGHT:
+    if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    signed, weight, value = _METRICS[metric]
+    if not signed and min(images, default=1) < 0:
+        raise PermutationError(f"{metric} requires an unsigned permutation")
     if profile is None:
         profile = _profile(images)
     # The cycle through vertex 0 has length 1 iff the first image is 1, or n = 0.
@@ -168,17 +168,11 @@ def _metric_value(
         "c_odd": profile.c_odd,
         "c_minus_2c_1": profile.c - 2 * profile.c_1 + 2 * zero_singleton,
     }
-    return _bound_value(metric, len(images), weights[_METRIC_WEIGHT[metric]])
-
-
-def _require_unsigned(pi: SignedPermutation, what: str) -> None:
-    if not pi.is_unsigned:
-        raise PermutationError(f"{what} requires an unsigned permutation")
+    return value(len(images), weights[weight])
 
 
 def bid(pi: SignedPermutation) -> int:
     """Exact block-interchange distance (n+1-c)/2; the halving is exact."""
-    _require_unsigned(pi, "block-interchange distance")
     return _metric_value(pi.images, "bid")
 
 
@@ -194,13 +188,11 @@ def srd_lower(pi: SignedPermutation) -> int:
 
 def td_lower(pi: SignedPermutation) -> int:
     """Odd-cycle lower bound (n+1-c_odd)/2 on the transposition distance."""
-    _require_unsigned(pi, "transposition bound")
     return _metric_value(pi.images, "td_lower")
 
 
 def ptd_lower(pi: SignedPermutation) -> int:
     """Prefix-transposition bound (n+1+c)/2 - c_1 - [first != 1], clamped at 0."""
-    _require_unsigned(pi, "prefix transposition bound")
     return _metric_value(pi.images, "ptd_lower")
 
 
@@ -223,9 +215,8 @@ class BoundReport:
 
 
 def bound_report(pi: SignedPermutation, metric: str) -> BoundReport:
-    # An unknown metric raises in _metric_value.
-    if metric in _UNSIGNED_BOUNDS:
-        _require_unsigned(pi, metric)
+    # An unknown metric, or a signed permutation for an unsigned metric,
+    # raises in _metric_value.
     profile = _profile(pi.images)
     return BoundReport(
         permutation=pi,
@@ -282,11 +273,10 @@ def bound_distribution(n: int, metric: str, force: bool = False) -> Distribution
     This is the enumeration route; for bid and dcj it must agree with the
     closed-form tables from distance_distribution.
     """
-    if metric not in FORMULA_METRICS + BOUND_METRICS:
+    if metric not in _METRICS:
         raise ValueError(f"unknown bound metric {metric!r}")
-    signed = metric not in _UNSIGNED_BOUNDS
-    value = partial(_bound_value, metric, n)
-    return _run_census(n, signed, _METRIC_WEIGHT[metric], metric, force, value)
+    signed, weight, value = _METRICS[metric]
+    return _run_census(n, signed, weight, metric, force, partial(value, n))
 
 
 def distance_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:
@@ -299,7 +289,7 @@ def distance_distribution(n: int, metric: str, force: bool = False) -> Distribut
     if n < 0:
         raise ValueError(f"size must be >= 0, got {n}")
     if metric in FORMULA_METRICS:
-        return DistributionTable(n, metric, _shifted_counts(n, metric == "dcj", 0))
+        return DistributionTable(n, metric, _shifted_counts(n, _METRICS[metric].signed, 0))
     if metric in BOUND_METRICS:
         return bound_distribution(n, metric, force=force)
     if metric in GENERATOR_SETS:

@@ -188,20 +188,16 @@ def shifted_falling_factorial_poly(offset: int, length: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _stirling_row(n: int) -> tuple[int, ...]:
-    # Row n of the unsigned Stirling-first triangle via
-    # [n, k] = [n-1, k-1] + (n-1) * [n-1, k].  Rows are immutable tuples,
-    # so concurrent readers are safe once a row is cached.  The cache always
-    # holds rows 0..currsize-1, so missing rows are built upward from there
-    # one at a time and no call recurses more than one level.
+    # Row n of the unsigned Stirling-first triangle holds the coefficients of
+    # x(x+1)...(x+n-1): row n-1 times (x + n - 1).  Rows are immutable
+    # tuples, so concurrent readers are safe once a row is cached.  The cache
+    # always holds rows 0..currsize-1, so missing rows are built upward from
+    # there one at a time and no call recurses more than one level.
     if n == 0:
         return (1,)
     for m in range(_stirling_row.cache_info().currsize, n):
         _stirling_row(m)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = prev[k - 1] + (n - 1) * (prev[k] if k < n else 0)
-    return tuple(row)
+    return Polynomial(_stirling_row(n - 1)).times_linear(n - 1).coeffs
 
 
 def stirling_first(n: int, k: int) -> int:

@@ -82,7 +82,7 @@ _TABLES = {
     "unsigned_odd_cycles": (False, _odd_cycle_count, odd_hultman_census),
     **{
         metric: (
-            metric not in distances._UNSIGNED_BOUNDS,
+            distances._METRICS[metric].signed,
             partial(distances._metric_value, metric=metric),
             partial(distances.bound_distribution, metric=metric),
         )

@@ -121,6 +121,16 @@ class TestFormulaDistances:
             td_lower(validate([-1, 2]))
         with pytest.raises(PermutationError):
             ptd_lower(validate([-1, 2]))
+        # One row per cycle-based metric; the private route and bound_report
+        # enforce the unsigned ones too.
+        assert list(D._METRICS) == [*D.FORMULA_METRICS, *D.BOUND_METRICS]
+        unsigned = [m for m, row in D._METRICS.items() if not row.signed]
+        assert unsigned == ["bid", "td_lower", "ptd_lower"]
+        for metric in unsigned:
+            with pytest.raises(PermutationError):
+                D._metric_value((-1, 2), metric)
+        with pytest.raises(PermutationError):
+            bound_report(validate([-1]), "td_lower")
 
     def test_bound_report_fields(self):
         report = bound_report(FIG2_PERM, "dcj")

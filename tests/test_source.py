@@ -42,6 +42,15 @@ def test_one_exactness_check_and_one_size_guard():
     assert sites == {"ExactnessError": ["exactmath.exact_div"], "GuardError": ["perm.check_size"]}
 
 
+def test_one_unsigned_precondition_in_distances():
+    # Every cycle-based metric's group is checked in _metric_value, the one
+    # route that bid, td_lower, ptd_lower, bound_report and verify share.
+    path = Path(bghultman.__file__).parent / "distances.py"
+    sites = {"PermutationError": []}
+    _RaiseSites(path.stem, sites).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert sites == {"PermutationError": ["distances._metric_value"]}
+
+
 def test_no_library_call_to_r_coefficient():
     # r_coefficient is the per-term reference; the library walks A_n only in
     # hultman._r_groups.
