@@ -12,6 +12,13 @@ take a full product, and signed_gf(n) costs O(n^3) coefficient operations.
 The weights share one common denominator, so the sum runs over integer
 polynomials and ends in one exact division per coefficient.  The unsigned
 falling-factorial route slides its window of factors the same way.
+signed_hultman reads its counts from a second route, a four-term
+recurrence in n, (n+2) P_n = c_1 P_{n-1} + ... + c_4 P_{n-4} with small
+polynomial coefficients c_i(n, x), from the rows P_0..P_3: O(n) coefficient
+operations per row instead of O(n^3).  The recurrence was found by guessing
+(scripts/guess_recurrence.py, exact linear algebra over signed_gf(0..16))
+and is verified against the hook sum for every n <= 120 and at n = 150, but
+not proved; signed_gf stays the reference.
 Generating functions for both cases yield exact means and variances, which
 are also available directly as harmonic-number formulas.  The signed ones
 carry correction sums over the index set A_n, folded from one walk over A_n
@@ -238,13 +245,55 @@ def signed_gf(n: int) -> Polynomial:
     return Polynomial(tuple(exact_div(c, den) for c in total.coeffs))
 
 
+# P_0..P_3, the rows the recurrence in _signed_row starts from, as
+# coefficient tuples in ascending powers of x.
+_SIGNED_SEEDS = ((0, 1), (0, 1, 1), (0, 4, 3, 1), (0, 20, 21, 6, 1))
+
+
+def _signed_steps(n: int) -> tuple[tuple[int, ...], ...]:
+    # c_1..c_4 of (n+2) P_n = c_1 P_{n-1} + c_2 P_{n-2} + c_3 P_{n-3} + c_4 P_{n-4},
+    # each in ascending powers of x, as scripts/guess_recurrence.py prints them:
+    #   c_1 = (4n+3)(x-1)
+    #   c_2 = -[(2n-1)(3x^2 - 4x) - 5n^3 + n^2 + 4n - 1]
+    #   c_3 = (x-1)[(4n-7)x^2 + e],  e = -10n^3 + 38n^2 - 44n + 15
+    #   c_4 = -(n-3)(x^2 - (n-1)^2)(x^2 - (2n-5)^2)
+    e = -10 * n**3 + 38 * n**2 - 44 * n + 15
+    sq_sum, sq_prod = (n - 1) ** 2 + (2 * n - 5) ** 2, (n - 1) ** 2 * (2 * n - 5) ** 2
+    return (
+        (-(4 * n + 3), 4 * n + 3),
+        (5 * n**3 - n**2 - 4 * n + 1, 4 * (2 * n - 1), -3 * (2 * n - 1)),
+        (-e, e, 7 - 4 * n, 4 * n - 7),
+        (-(n - 3) * sq_prod, 0, (n - 3) * sq_sum, 0, 3 - n),
+    )
+
+
+@lru_cache(maxsize=None)
+def _signed_row(n: int) -> Polynomial:
+    # signed_gf(n) by the recurrence of _signed_steps: O(n) coefficient
+    # operations per row.  Each step ends in one exact division by n+2, so a
+    # wrong seed or step raises ExactnessError.  The cache always holds rows
+    # 0..currsize-1, so missing rows are built upward one at a time, as in
+    # _stirling_row.
+    if n < len(_SIGNED_SEEDS):
+        return Polynomial(_SIGNED_SEEDS[n])
+    for m in range(_signed_row.cache_info().currsize, n):
+        _signed_row(m)
+    total = Polynomial.zero()
+    for i, c in enumerate(_signed_steps(n), 1):
+        total = total + Polynomial(c) * _signed_row(n - i)
+    return Polynomial(tuple(exact_div(c, n + 2) for c in total.coeffs))
+
+
 def signed_hultman(n: int, k: int) -> int:
-    """Signed permutations of n elements with k breakpoint-graph cycles."""
+    """Signed permutations of n elements with k breakpoint-graph cycles.
+
+    Read from _signed_row(n), the recurrence route to signed_gf(n).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 1 or k > n + 1:
         return 0
-    return signed_gf(n).coefficient(k)
+    return _signed_row(n).coefficient(k)
 
 
 def signed_hultman_special(n: int, k: int) -> int:

@@ -15,6 +15,7 @@ from typing import Callable, Iterator
 
 from . import bpgraph, census, distances, golden, perm
 from .hultman import (
+    _signed_row,
     hultman_bona_flynn,
     hultman_new_formula,
     r_abs_sum,
@@ -104,6 +105,8 @@ def formulas(max_n: int) -> Checks:
         if k >= 1
     )
     yield "formulas.special_cases", ok, f"top three k values match for n<={special_to}"
+    ok = all(_signed_row(n) == signed_gf(n) for n in range(0, agree_to + 1))
+    yield "formulas.signed_recurrence", ok, f"recurrence rows equal the hook sum for n<={agree_to}"
 
 
 def lemmas(max_n: int) -> Checks:
@@ -172,6 +175,15 @@ def bounds(max_n: int) -> Checks:
                 yield f"bounds.{name}_domination_n{n}", ok, detail
 
 
+def _gf_agrees(poly, pair) -> bool:
+    # Whether the mean and variance of the distribution a generating function
+    # counts, from its value and first two derivatives at x = 1, equal pair's.
+    d = poly.derivative()
+    total, d1, d2 = poly.evaluate(1), d.evaluate(1), d.derivative().evaluate(1)
+    mean = Fraction(d1, total)
+    return (mean, mean + Fraction(d2, total) - mean * mean) == (pair.mean, pair.variance)
+
+
 def moments(max_n: int) -> Checks:
     for group in _GROUPS:
         for n in range(1, min(max_n, group.moments_to) + 1):
@@ -179,18 +191,14 @@ def moments(max_n: int) -> Checks:
             ok = census.moments_from_table(table, _order(n, group.signed)) == group.moments(n)
             yield f"moments.{group.name}_census_n{n}", ok, "formula equals census moments"
     gf_to = max(max_n, 12)
-    ok = True
-    for n in range(0, gf_to + 1):
-        for group in _GROUPS:
-            poly, pair = group.gf(n), group.moments(n)
-            total = Fraction(poly.evaluate(1))
-            d1 = Fraction(poly.derivative().evaluate(1))
-            d2 = Fraction(poly.derivative().derivative().evaluate(1))
-            mean = d1 / total
-            variance = mean + d2 / total - mean * mean
-            if (mean, variance) != (pair.mean, pair.variance):
-                ok = False
+    ok = all(
+        _gf_agrees(group.gf(n), group.moments(n))
+        for n in range(0, gf_to + 1)
+        for group in _GROUPS
+    )
     yield "moments.generating_function", ok, f"derivative route agrees for n<={gf_to}"
+    ok = all(_gf_agrees(_signed_row(n), signed_moments(n)) for n in (*range(0, 121), 300))
+    yield "moments.signed_recurrence", ok, "recurrence rows give the signed moments for n<=120 and 300"
     ok = all(
         abs(r_sum(n)) <= r_abs_sum(n) <= Fraction(2) * (1 - Fraction(1, 2**n)) / (n + 2)
         for n in range(0, 31)

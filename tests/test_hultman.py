@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bghultman import census, hultman
+from bghultman import census, golden, hultman
 from bghultman.exactmath import (
     ExactnessError,
     Polynomial,
@@ -264,6 +264,45 @@ class TestGeneratingFunctions:
                 + 2 * sign2 * factorial(n) * (harmonic(n) - 1)
             ) / den
             assert Fraction(F.derivative().derivative().evaluate(1)) == d2_expected
+
+
+class TestSignedRecurrence:
+    def test_rows_equal_hook_sum(self):
+        for n in [*range(0, 41), 60, 80, 100, 120]:
+            assert hultman._signed_row(n) == signed_gf(n)
+
+    @pytest.mark.parametrize(
+        "row, index",
+        [(r, j) for r, seed in enumerate(hultman._SIGNED_SEEDS) for j in range(len(seed))],
+    )
+    def test_perturbed_seed_is_inexact(self, monkeypatch, row, index):
+        seeds = [list(seed) for seed in hultman._SIGNED_SEEDS]
+        seeds[row][index] += 1
+        monkeypatch.setattr(hultman, "_SIGNED_SEEDS", tuple(map(tuple, seeds)))
+        hultman._signed_row.cache_clear()
+        try:
+            with pytest.raises(ExactnessError):
+                for n in range(0, 31):
+                    hultman._signed_row(n)
+        finally:
+            hultman._signed_row.cache_clear()
+
+    def test_table_never_sums_hooks(self, monkeypatch, capsys):
+        from bghultman.cli import main
+
+        def refuse(n):
+            raise AssertionError("signed_gf called")
+
+        monkeypatch.setattr(hultman, "signed_gf", refuse)
+        hultman._signed_row.cache_clear()
+        assert main(["table", "--signed", "--n", "11"]) == 0
+        rows = [tuple(map(int, line.split(","))) for line in capsys.readouterr().out.split()[1:]]
+        assert len(rows) == 78
+        assert all(count == golden.golden_value(n, k) for n, k, count in rows if n)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            signed_hultman(-1, 1)
 
 
 def gf_moments(poly):
