@@ -358,17 +358,16 @@ def _black_partner(images: Sequence[int]) -> list[int]:
 
 
 def cycle_count_images(images: Sequence[int]) -> int:
-    """Alternating-cycle count of the breakpoint graph, from raw images.
-
-    Census hot path: avoids building permutation and matching objects.  The
-    grey partner of vertex v is v XOR 1 and its tuple is cached per size, so
-    only the black partner array is built per call.
-    """
-    black = _black_partner(images)
-    return len(_union_lengths(black, _grey_partner(len(black))))
+    """Alternating-cycle count of the breakpoint graph, from raw images."""
+    return len(cycle_lengths_images(images))
 
 
 def cycle_lengths_images(images: Sequence[int]) -> list[int]:
-    """Alternating-cycle lengths (black-edge counts) from raw images."""
+    """Alternating-cycle lengths (black-edge counts) from raw images.
+
+    Avoids building permutation and matching objects.  The grey partner of
+    vertex v is v XOR 1 and its tuple is cached per size, so only the black
+    partner array is built per call.
+    """
     black = _black_partner(images)
     return _union_lengths(black, _grey_partner(len(black)))

@@ -333,16 +333,14 @@ def compare_to_shifted(
     """
     gset = _resolve_generator(metric)
     dist = bfs_level_sizes(n, gset, force)
-    best_m = None
-    best_tv = None
-    for m in range(-(n + 1), n + 2):
+
+    def total_variation(m: int) -> int:
         shifted = _shifted_counts(n, gset.signed, m)
-        keys = set(dist) | set(shifted)
-        tv = sum(abs(dist.get(k, 0) - shifted.get(k, 0)) for k in keys)
-        if best_tv is None or tv < best_tv:
-            best_tv = tv
-            best_m = m
+        return sum(abs(dist.get(k, 0) - shifted.get(k, 0)) for k in set(dist) | set(shifted))
+
+    # min keeps the first minimum, so a tie goes to the smaller offset.
+    best_m = min(range(-(n + 1), n + 2), key=total_variation)
     shifted = _shifted_counts(n, gset.signed, best_m)
     keys = sorted(set(dist) | set(shifted))
     rows = tuple((k, dist.get(k, 0), shifted.get(k, 0)) for k in keys)
-    return ComparisonResult(n, gset.name, best_m, best_tv, rows)
+    return ComparisonResult(n, gset.name, best_m, sum(abs(d - s) for _, d, s in rows), rows)

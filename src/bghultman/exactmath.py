@@ -1,15 +1,17 @@
-"""Exact arithmetic building blocks: big integers, rationals, dense polynomials.
+"""Exact arithmetic building blocks: big integers, rationals, dense integer polynomials.
 
 Every count and moment in this library is exact.  Integers are Python's
 arbitrary-precision ``int`` and rationals are ``fractions.Fraction``.
 ``exact_div`` is the one exactness check: every division that must leave
 no remainder goes through it, whether of integers or of polynomials by a
-monic divisor.  The ``Polynomial`` class stores exact coefficients densely
-in ascending-degree order, which is the right shape for factorial
-polynomials and generating functions whose degree stays small (at most a
-few hundred here).  Products of linear factors are built one factor at a
-time (``times_linear``), and a known linear factor is taken out again by
-exact synthetic division (``over_linear``), each in O(degree) steps.
+monic divisor.  The ``Polynomial`` class stores int coefficients densely in
+ascending-degree order, which is the right shape for factorial polynomials
+and generating functions whose degree stays small (at most a few hundred
+here); a rational combination is summed over a common denominator and
+divided exactly at the end.  Products of linear factors are built one
+factor at a time (``times_linear``), and a known linear factor is taken out
+again by exact synthetic division (``over_linear``), each in O(degree)
+steps.
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ from functools import lru_cache, reduce
 from math import comb
 from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
-
 __all__ = [
-    "Scalar",
     "ExactnessError",
     "exact_div",
     "Polynomial",
@@ -54,15 +53,14 @@ def exact_div(a: _Dividend, b: _Dividend) -> _Dividend:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial with exact coefficients.
+    """Dense univariate polynomial with int coefficients.
 
     ``coeffs[k]`` is the coefficient of x^k.  The tuple carries no trailing
     zeros, so the zero polynomial is the empty tuple and ``degree`` of zero
-    is -1.  Coefficients may be ints or Fractions; the two interoperate and
-    compare equal when they represent the same value.
+    is -1.
     """
 
-    coeffs: tuple[Scalar, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         c = self.coeffs if isinstance(self.coeffs, tuple) else tuple(self.coeffs)
@@ -75,7 +73,7 @@ class Polynomial:
         return cls(())
 
     @classmethod
-    def constant(cls, value: Scalar) -> "Polynomial":
+    def constant(cls, value: int) -> "Polynomial":
         return cls((value,))
 
     @property
@@ -89,7 +87,7 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coefficient(self, k: int) -> Scalar:
+    def coefficient(self, k: int) -> int:
         """Coefficient of x^k; zero beyond the degree (and for k < 0)."""
         if k < 0 or k >= len(self.coeffs):
             return 0
@@ -110,7 +108,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
+    def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
                 return Polynomial(())
@@ -137,18 +135,18 @@ class Polynomial:
                 rem[k + j] -= q * d[j]
         return Polynomial(tuple(quot)), Polynomial(tuple(rem[:top]))
 
-    def times_linear(self, c: Scalar) -> "Polynomial":
+    def times_linear(self, c: int) -> "Polynomial":
         """This polynomial times (x + c), in O(degree) coefficient operations."""
         a = self.coeffs
         return Polynomial(tuple([lo + c * hi for lo, hi in zip((0, *a), (*a, 0))]))
 
-    def over_linear(self, c: Scalar) -> "Polynomial":
+    def over_linear(self, c: int) -> "Polynomial":
         """This polynomial divided by (x + c); a remainder raises ExactnessError."""
         return exact_div(self, Polynomial((c, 1)))
 
-    def evaluate(self, x: Scalar) -> Scalar:
-        """Evaluate by Horner's rule; exact for int/Fraction arguments."""
-        acc: Scalar = 0
+    def evaluate(self, x: int) -> int:
+        """Evaluate by Horner's rule."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -157,7 +155,7 @@ class Polynomial:
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
 
-def linear_product(offsets: Iterable[Scalar]) -> Polynomial:
+def linear_product(offsets: Iterable[int]) -> Polynomial:
     """Product of linear factors (x + a) over the given offsets.
 
     A fold of ``times_linear`` from the constant 1: O(len * degree)

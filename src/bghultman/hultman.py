@@ -223,7 +223,6 @@ def _hook_polys(shapes: Iterable[HookPartition]) -> Iterator[Polynomial]:
         yield poly
 
 
-@lru_cache(maxsize=None)
 def signed_gf(n: int) -> Polynomial:
     """Generating function of signed counts: sum of c * F(x) * F'(0).
 
@@ -317,7 +316,6 @@ def signed_hultman_special(n: int, k: int) -> int:
     raise ValueError(f"k={k} is not one of n+1, n, n-1 for n={n}")
 
 
-@lru_cache(maxsize=None)
 def unsigned_gf(n: int) -> Polynomial:
     """Generating function of unsigned counts.
 
@@ -439,9 +437,10 @@ def signed_moments(n: int) -> MomentPair:
     """Exact signed mean and variance from one walk over A_n.
 
     The mean is H_{2n+1} - H_n/2 - r_sum(n).  The variance weights r_n(a, b)
-    by 2H_{2n+1} - H_n - 1 + 2H_{n-a-b+1} - 2H_{2a-1} + H_{a-1} - H_{b-1},
-    taken from hnum[j] = den * H_j with den = lcm(1..2n+1): each group's
-    weighted sum is one integer, and the walk ends in one division by den.
+    by 2H_{2n+1} - H_n - 1 + 2H_{n-a-b+1} - 2H_{2a-1} + H_{a-1} - H_{b-1}.
+    Every harmonic number here, the mean's included, is taken from
+    hnum[j] = den * H_j with den = lcm(1..2n+1): each group's weighted sum is
+    one integer, and the walk ends in one division by den.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -457,7 +456,7 @@ def signed_moments(n: int) -> MomentPair:
             group += term * (2 * hnum[n - a - b + 1] - 2 * hnum[2 * a - 1] + hnum[a - 1] - hnum[b - 1])
         rsum += scale * inner
         weighted += scale * group
-    base = harmonic(2 * n + 1) - harmonic(n) / 2
+    base = Fraction(2 * hnum[2 * n + 1] - hnum[n], 2 * den)  # H_{2n+1} - H_n/2
     odd_sq = harmonic_squares(2 * n + 1) - harmonic_squares(n) / 4  # sum of 1/(2k+1)^2, k <= n
     return MomentPair(base - rsum, base - odd_sq - rsum * rsum + weighted / den)
 

@@ -4,9 +4,10 @@ A signed permutation of n elements stores, for each position 1..n, a signed
 image whose absolute values form a bijection of {1..n}.  Unsigned
 permutations are the all-positive special case of the same type.  The module
 provides validation, group operations, disjoint-cycle structure,
-deterministic (lexicographic) enumeration streams that can be split by first
-image, and a brute-force counter of cycle factorisations used as an oracle
-elsewhere.
+deterministic (lexicographic) enumeration streams, and a brute-force counter
+of cycle factorisations used as an oracle elsewhere.  No census splits the
+streams by first image any more; ``first_values`` and the ``first`` argument
+of ``iter_images_*`` stay only because ``perfbench/layers.py`` times them.
 """
 
 from __future__ import annotations
@@ -153,15 +154,11 @@ def conjugate(pi: SignedPermutation, sigma: SignedPermutation) -> SignedPermutat
     return compose(compose(sigma, pi), inverse(sigma))
 
 
-def cycle_decomposition(pi: SignedPermutation) -> CycleDecomposition:
-    """Canonical disjoint-cycle decomposition; fixed points are 1-cycles."""
-    if not pi.is_unsigned:
-        raise PermutationError("cycle decomposition requires an unsigned permutation")
-    imgs = pi.images
-    n = pi.n
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
+def _cycles(images: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    # Canonical cycles of an unsigned image tuple: each starts at its
+    # minimum, and they come in ascending order of minimum.
+    seen = [False] * (len(images) + 1)
+    for start in range(1, len(images) + 1):
         if seen[start]:
             continue
         cyc = []
@@ -169,28 +166,19 @@ def cycle_decomposition(pi: SignedPermutation) -> CycleDecomposition:
         while not seen[j]:
             seen[j] = True
             cyc.append(j)
-            j = imgs[j - 1]
-        cycles.append(tuple(cyc))
-    return CycleDecomposition(tuple(cycles))
+            j = images[j - 1]
+        yield tuple(cyc)
+
+
+def cycle_decomposition(pi: SignedPermutation) -> CycleDecomposition:
+    """Canonical disjoint-cycle decomposition; fixed points are 1-cycles."""
+    if not pi.is_unsigned:
+        raise PermutationError("cycle decomposition requires an unsigned permutation")
+    return CycleDecomposition(tuple(_cycles(pi.images)))
 
 
 def cycle_count(pi: SignedPermutation) -> int:
     return cycle_decomposition(pi).count
-
-
-def _tuple_cycle_count(images: Sequence[int]) -> int:
-    # Unsigned raw-tuple fast path.
-    n = len(images)
-    seen = bytearray(n)
-    c = 0
-    for i in range(n):
-        if not seen[i]:
-            c += 1
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = images[j] - 1
-    return c
 
 
 def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -276,13 +264,13 @@ def count_factorizations(n: int, k: int, force: bool = False) -> int:
     count = 0
     rho = [0] * (n + 1)
     for omega in itertools.permutations(range(1, n + 2)):
-        if _tuple_cycle_count(omega) != k:
+        if sum(1 for _ in _cycles(omega)) != k:
             continue
         # rho = beta o omega^{-1} without materialising the inverse:
         # omega(i) = w implies rho(w) = beta(i).
         for i, w in enumerate(omega):
             rho[w - 1] = beta[i]
-        if _tuple_cycle_count(rho) == 1:
+        if len(next(_cycles(rho))) == n + 1:  # one cycle covers all
             count += 1
     return count
 

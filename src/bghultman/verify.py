@@ -204,7 +204,7 @@ def moments(max_n: int) -> Checks:
         for n in range(0, 31)
     )
     yield "moments.r_sum_bound", ok, "correction coefficients within the stated bound"
-    ok = all(sury_identity_check(n)[0] == sury_identity_check(n)[1] for n in range(0, 51))
+    ok = all(lhs == rhs for lhs, rhs in map(sury_identity_check, range(0, 51)))
     yield "moments.alternating_identity", ok, "both sides equal for n<=50"
     mean_u = float(unsigned_mean(1000))
     mean_s = float(signed_mean(1000))

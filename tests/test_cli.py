@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,11 @@ import pytest
 
 from bghultman import cli, distances, golden
 from bghultman.cli import main
+
+
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -255,3 +261,13 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "no checks" in err
+
+
+class TestRecordedDigests:
+    # perfbench/digests.json records the SHA-256 of each benchmark command's
+    # stdout; any drift in those bytes fails here, not only in the benchmark.
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_stdout_matches_digest(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]

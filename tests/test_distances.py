@@ -379,6 +379,14 @@ class TestCompare:
         assert result.offset == 0
         assert sum(d for _, d, _ in result.rows) == 2**5 * 120
 
+    def test_tie_goes_to_smallest_offset(self, monkeypatch):
+        # With every shifted family empty, all offsets tie at the full group
+        # mass, and the docstring promises the smallest one.
+        monkeypatch.setattr(D, "_shifted_counts", lambda n, signed, m: {})
+        result = compare_to_shifted(3, "transposition")
+        assert result.offset == -4
+        assert result.total_variation == factorial(3)
+
     def test_offset_is_minimal(self):
         result = compare_to_shifted(4, "prefix_reversal")
         dist = bfs_level_sizes(4, "prefix_reversal")
