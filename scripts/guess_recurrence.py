@@ -15,7 +15,7 @@ one line per c_i and power of x, as a Python expression in n.  A recurrence
 found this way holds for the rows it was fitted to: it is a guess, to be
 checked on further rows or proved.
 
-The default run re-derives the recurrence behind hultman._signed_row.
+The default run re-derives the recurrence behind hultman.signed_rows.
 
 Usage: python scripts/guess_recurrence.py [--gf signed|unsigned]
            [--order 4] [--degrees 5 4] [--max-n 16]

@@ -2,7 +2,8 @@
 
 Commands: table, census, moments, dist, compare, verify.  All numeric output
 is exact; counts are decimal strings and rationals are "p/q" strings.  Float
-columns are explicitly marked as hints.
+columns are explicitly marked as hints.  CSV lines are written as they are
+produced, so ``table`` holds one row of counts at a time.
 """
 
 from __future__ import annotations
@@ -11,34 +12,40 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
 from . import census, distances, verify
-from .hultman import hultman_bona_flynn, signed_hultman, signed_moments, unsigned_moments
+from .hultman import signed_moments, signed_rows, unsigned_moments, unsigned_rows
 from .perm import GuardError
 
 __all__ = ["main"]
 
 
 def _write(
-    args: argparse.Namespace, header: str, rows: Iterable[Sequence[Any]], payload: Any
+    args: argparse.Namespace, header: str, rows: Iterable[Sequence[Any]], payload: Callable[[], Any]
 ) -> None:
-    """Write ``rows`` as CSV under ``header``, or ``payload`` as JSON, per --format.
+    """Write ``rows`` as CSV under ``header``, or ``payload()`` as JSON, per --format.
 
-    The text goes to stdout, or to --out through a temporary file in the same
-    directory that replaces the target only once it is complete.
+    CSV lines go out as ``rows`` yields them, to stdout or to --out through a
+    temporary file in the same directory that replaces it only once complete.
     """
     if args.format == "csv":
-        text = "\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n"
+        text = chain([header + "\n"], (",".join(map(str, row)) + "\n" for row in rows))
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = [json.dumps(payload(), indent=2) + "\n"]
     if args.out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left early (`| head`): the rest and the exit flush go to devnull.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(text)
         os.replace(tmp, args.out)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, args.out) from None
@@ -48,29 +55,23 @@ def _write(
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    count = signed_hultman if args.signed else hultman_bona_flynn
-    rows = []
-    for n in range(0, args.n + 1):
-        for k in range(1, n + 2):
-            v = count(n, k)
-            if v or args.dense:
-                rows.append((n, k, str(v)))
-    payload = {
+    stream = enumerate((signed_rows if args.signed else unsigned_rows)(args.n))
+    cells = ((n, k, row.coefficient(k)) for n, row in stream for k in range(1, n + 2))
+    rows = ((n, k, str(v)) for n, k, v in cells if v or args.dense)
+    _write(args, "n,k,count", rows, lambda: {
         "statistic": "signed_cycles" if args.signed else "unsigned_cycles",
         "rows": [{"n": n, "k": k, "count": v} for n, k, v in rows],
-    }
-    _write(args, "n,k,count", rows, payload)
+    })
     return 0
 
 
 def _write_distribution(table: census.DistributionTable, args: argparse.Namespace) -> None:
     rows = sorted(table.counts.items())
-    payload = {
+    _write(args, "k,count", rows, lambda: {
         "n": table.n,
         "statistic": table.statistic,
         "counts": {str(k): str(v) for k, v in rows},
-    }
-    _write(args, "k,count", rows, payload)
+    })
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -94,11 +95,10 @@ def cmd_moments(args: argparse.Namespace) -> int:
         hints = [f"{float(x):.15g}" for x in (pair.mean, pair.variance)]
         rows.append((n, *exact, *hints))
     keys = ("n", "mean", "variance", "mean_float", "variance_float")
-    payload = {
+    _write(args, ",".join(keys), rows, lambda: {
         "statistic": "signed_cycles" if args.signed else "unsigned_cycles",
         "rows": [dict(zip(keys, row)) for row in rows],
-    }
-    _write(args, ",".join(keys), rows, payload)
+    })
     return 0
 
 
@@ -110,15 +110,14 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     result = distances.compare_to_shifted(args.n, args.metric, force=args.force)
-    payload = {
+    rows = [row + (result.offset,) for row in result.rows]
+    _write(args, "k,distance,shifted,offset", rows, lambda: {
         "n": result.n,
         "metric": result.metric,
         "offset": result.offset,
         "total_variation": str(result.total_variation),
         "rows": [{"k": k, "distance": str(d), "shifted": str(s)} for k, d, s in result.rows],
-    }
-    rows = [row + (result.offset,) for row in result.rows]
-    _write(args, "k,distance,shifted,offset", rows, payload)
+    })
     return 0
 
 

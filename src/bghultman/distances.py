@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import bpgraph
 from .census import DistributionTable, _run_census
 from .exactmath import exact_div
-from .hultman import hultman_bona_flynn, signed_hultman
+from .hultman import _cycle_row
 from .perm import PermutationError, SignedPermutation, check_size
 
 __all__ = [
@@ -312,11 +312,11 @@ class ComparisonResult:
 def _shifted_counts(n: int, signed: bool, m: int) -> dict[int, int]:
     # Shifted cycle-count family: index n+1-k+m (signed) or n+1-2k+m
     # (unsigned, whose counts vanish at every other index).
+    row = _cycle_row(n, signed)
     step = 1 if signed else 2
     counts = {}
     for k in range(-(2 * n + 2), 2 * n + 3):
-        j = n + 1 - step * k + m
-        v = signed_hultman(n, j) if signed else hultman_bona_flynn(n, j)
+        v = row.coefficient(n + 1 - step * k + m)
         if v:
             counts[k] = v
     return counts

@@ -11,7 +11,8 @@ here); a rational combination is summed over a common denominator and
 divided exactly at the end.  Products of linear factors are built one
 factor at a time (``times_linear``), and a known linear factor is taken out
 again by exact synthetic division (``over_linear``), each in O(degree)
-steps.
+steps.  No polynomial is cached: a consumer of many rows steps one product
+forward.  Only the harmonic sums are memoised, as their callers repeat an n.
 """
 
 from __future__ import annotations
@@ -184,31 +185,13 @@ def shifted_falling_factorial_poly(offset: int, length: int) -> Polynomial:
     return linear_product(offset - j for j in range(length))
 
 
-@lru_cache(maxsize=None)
-def _stirling_row(n: int) -> tuple[int, ...]:
-    # Row n of the unsigned Stirling-first triangle holds the coefficients of
-    # x(x+1)...(x+n-1): row n-1 times (x + n - 1).  Rows are immutable
-    # tuples, so concurrent readers are safe once a row is cached.  The cache
-    # always holds rows 0..currsize-1, so missing rows are built upward from
-    # there one at a time and no call recurses more than one level.
-    if n == 0:
-        return (1,)
-    for m in range(_stirling_row.cache_info().currsize, n):
-        _stirling_row(m)
-    return Polynomial(_stirling_row(n - 1)).times_linear(n - 1).coeffs
-
-
 def stirling_first(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind [n, k].
 
     Counts permutations of n elements with exactly k disjoint cycles.
-    Returns 0 for k < 0 or k > n.
+    Returns 0 for k < 0 or k > n.  Each call builds rising_factorial_poly(n).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 0 or k > n:
-        return 0
-    return _stirling_row(n)[k]
+    return rising_factorial_poly(n).coefficient(k)
 
 
 @lru_cache(maxsize=None)

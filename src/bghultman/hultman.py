@@ -12,13 +12,13 @@ take a full product, and signed_gf(n) costs O(n^3) coefficient operations.
 The weights share one common denominator, so the sum runs over integer
 polynomials and ends in one exact division per coefficient.  The unsigned
 falling-factorial route slides its window of factors the same way.
-signed_hultman reads its counts from a second route, a four-term
-recurrence in n, (n+2) P_n = c_1 P_{n-1} + ... + c_4 P_{n-4} with small
-polynomial coefficients c_i(n, x), from the rows P_0..P_3: O(n) coefficient
-operations per row instead of O(n^3).  The recurrence was found by guessing
-(scripts/guess_recurrence.py, exact linear algebra over signed_gf(0..16))
-and is verified against the hook sum for every n <= 120 and at n = 150, but
-not proved; signed_gf stays the reference.
+Tables and checks iterate one uncached row stream per group: unsigned_rows
+adds one factor per row to x(x+1)...(x+n+1), and signed_rows is a second
+route to signed_gf, a four-term recurrence (n+2) P_n = c_1 P_{n-1} + ... +
+c_4 P_{n-4} with small polynomial coefficients c_i(n, x), from P_0..P_3: O(n)
+coefficient operations per row instead of O(n^3).  The recurrence was found
+by guessing (scripts/guess_recurrence.py, linear algebra over signed_gf(0..16))
+and is verified against the hook sum for n <= 120 and n = 150, not proved.
 Generating functions for both cases yield exact means and variances, which
 are also available directly as harmonic-number formulas.  The signed ones
 carry correction sums over the index set A_n, folded from one walk over A_n
@@ -31,6 +31,7 @@ ExactnessError, which always indicates a bug rather than bad input.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +48,6 @@ from .exactmath import (
     linear_product,
     rising_factorial_poly,
     shifted_falling_factorial_poly,
-    stirling_first,
 )
 
 __all__ = [
@@ -56,6 +56,8 @@ __all__ = [
     "hook_partitions",
     "hultman_bona_flynn",
     "hultman_new_formula",
+    "unsigned_rows",
+    "signed_rows",
     "f_lambda_poly",
     "f_lambda_deriv_at_zero",
     "c_lambda",
@@ -113,21 +115,31 @@ def hook_partitions(n: int) -> Iterator[HookPartition]:
     yield HookPartition(n + 1, 0, n)
 
 
+def unsigned_rows(max_n: int) -> Iterator[Polynomial]:
+    """Rows n = 0..max_n of hultman_bona_flynn, each equal to unsigned_gf(n).
+
+    Row n keeps the x^k coefficients of x(x+1)...(x+n+1) with n - k odd, over C(n+2, 2).
+    """
+    rising = Polynomial((0, 1))
+    for n in range(max_n + 1):
+        rising = rising.times_linear(n + 1)
+        den = binomial(n + 2, 2)
+        row = [exact_div(c, den) if (n - k) % 2 else 0 for k, c in enumerate(rising.coeffs)]
+        yield Polynomial(tuple(row))
+
+
 def hultman_bona_flynn(n: int, k: int) -> int:
     """Unsigned permutations of n elements with k breakpoint-graph cycles.
 
-    Equals stirling_first(n+2, k) / C(n+2, 2) when n - k is odd, else 0.
-    The division is always exact.
+    Equals stirling_first(n+2, k) / C(n+2, 2) when n - k is odd, else 0;
+    the division is always exact.  Read from row n of unsigned_rows.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 1 or k > n + 1 or (n - k) % 2 == 0:
-        return 0
-    return exact_div(stirling_first(n + 2, k), binomial(n + 2, 2))
+    return _cycle_row(n, False).coefficient(k)
 
 
 @lru_cache(maxsize=None)
 def _falling_sum_poly(n: int) -> Polynomial:
+    # Cached, as callers read hultman_new_formula for every k of a row.
     # Sum over i = 1..n+1 of the length-(n+1) falling factorial shifted by
     # n-i+1, (x+n-i+1)(x+n-i)...(x-i+1); dividing its coefficients by n+1
     # gives the unsigned counts.  Each term slides the previous one's window
@@ -244,7 +256,7 @@ def signed_gf(n: int) -> Polynomial:
     return Polynomial(tuple(exact_div(c, den) for c in total.coeffs))
 
 
-# P_0..P_3, the rows the recurrence in _signed_row starts from, as
+# P_0..P_3, the rows the recurrence in signed_rows starts from, as
 # coefficient tuples in ascending powers of x.
 _SIGNED_SEEDS = ((0, 1), (0, 1, 1), (0, 4, 3, 1), (0, 20, 21, 6, 1))
 
@@ -266,33 +278,36 @@ def _signed_steps(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _signed_row(n: int) -> Polynomial:
-    # signed_gf(n) by the recurrence of _signed_steps: O(n) coefficient
-    # operations per row.  Each step ends in one exact division by n+2, so a
-    # wrong seed or step raises ExactnessError.  The cache always holds rows
-    # 0..currsize-1, so missing rows are built upward one at a time, as in
-    # _stirling_row.
-    if n < len(_SIGNED_SEEDS):
-        return Polynomial(_SIGNED_SEEDS[n])
-    for m in range(_signed_row.cache_info().currsize, n):
-        _signed_row(m)
-    total = Polynomial.zero()
-    for i, c in enumerate(_signed_steps(n), 1):
-        total = total + Polynomial(c) * _signed_row(n - i)
-    return Polynomial(tuple(exact_div(c, n + 2) for c in total.coeffs))
+def signed_rows(max_n: int) -> Iterator[Polynomial]:
+    """Rows n = 0..max_n of signed counts, each equal to signed_gf(n).
+
+    Past the seeds, row n comes from the last four by _signed_steps; its
+    exact division by n+2 makes a wrong seed or step raise ExactnessError.
+    """
+    last: deque[Polynomial] = deque(maxlen=4)
+    for n in range(max_n + 1):
+        if n < len(_SIGNED_SEEDS):
+            row = Polynomial(_SIGNED_SEEDS[n])
+        else:
+            terms = (Polynomial(c) * prev for c, prev in zip(_signed_steps(n), reversed(last)))
+            total = sum(terms, Polynomial.zero())
+            row = Polynomial(tuple(exact_div(c, n + 2) for c in total.coeffs))
+        last.append(row)
+        yield row
+
+
+def _cycle_row(n: int, signed: bool) -> Polynomial:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return deque(signed_rows(n) if signed else unsigned_rows(n), maxlen=1)[0]
 
 
 def signed_hultman(n: int, k: int) -> int:
     """Signed permutations of n elements with k breakpoint-graph cycles.
 
-    Read from _signed_row(n), the recurrence route to signed_gf(n).
+    Read from row n of signed_rows, the recurrence route to signed_gf(n).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 1 or k > n + 1:
-        return 0
-    return _signed_row(n).coefficient(k)
+    return _cycle_row(n, True).coefficient(k)
 
 
 def signed_hultman_special(n: int, k: int) -> int:

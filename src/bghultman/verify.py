@@ -15,20 +15,19 @@ from typing import Callable, Iterator
 
 from . import bpgraph, census, distances, golden, perm
 from .hultman import (
-    _signed_row,
-    hultman_bona_flynn,
     hultman_new_formula,
     r_abs_sum,
     r_sum,
     signed_gf,
-    signed_hultman,
     signed_hultman_special,
     signed_mean,
     signed_moments,
+    signed_rows,
     sury_identity_check,
     unsigned_gf,
     unsigned_mean,
     unsigned_moments,
+    unsigned_rows,
 )
 
 __all__ = ["EULER_GAMMA", "SUITES", "run"]
@@ -42,16 +41,16 @@ def _order(n: int, signed: bool) -> int:
     return 2**n * factorial(n) if signed else factorial(n)
 
 
-# The unsigned and the signed group: census, closed form, exact moments and
-# generating function, then the largest census n of the formulas and the
-# moments suites.
-_Group = namedtuple("_Group", "name signed tally count moments gf formulas_to moments_to")
+# The unsigned and the signed group: census, closed-form row stream, exact
+# moments and generating function, then the largest census n of the formulas
+# and the moments suites.
+_Group = namedtuple("_Group", "name signed tally rows moments gf formulas_to moments_to")
 _UNSIGNED = _Group(
-    "unsigned", False, census.hultman_census, hultman_bona_flynn, unsigned_moments, unsigned_gf,
+    "unsigned", False, census.hultman_census, unsigned_rows, unsigned_moments, unsigned_gf,
     9, 7,
 )
 _SIGNED = _Group(
-    "signed", True, census.signed_hultman_census, signed_hultman, signed_moments, signed_gf,
+    "signed", True, census.signed_hultman_census, signed_rows, signed_moments, signed_gf,
     7, 6,
 )
 _GROUPS = (_UNSIGNED, _SIGNED)
@@ -71,41 +70,43 @@ _BFS_DOMINATION = (
 
 
 def table1(max_n: int) -> Checks:
-    for n in range(1, min(max_n, 11) + 1):
+    for n, row in enumerate(signed_rows(min(max_n, 11))):
+        if n == 0:
+            continue
         expected = [golden.golden_value(n, k) for k in range(1, n + 2)]
-        got = [signed_hultman(n, k) for k in range(1, n + 2)]
+        got = [row.coefficient(k) for k in range(1, n + 2)]
         yield f"table1.row_n{n}", got == expected, "signed counts match the embedded reference row"
 
 
 def formulas(max_n: int) -> Checks:
     agree_to = max(max_n, 40)
     ok = all(
-        hultman_new_formula(n, k) == hultman_bona_flynn(n, k)
-        for n in range(0, agree_to + 1)
+        hultman_new_formula(n, k) == row.coefficient(k)
+        for n, row in enumerate(unsigned_rows(agree_to))
         for k in range(1, n + 2)
     )
     yield "formulas.unsigned_agreement", ok, f"two unsigned routes agree for n<={agree_to}"
     totals_to = max(max_n, 25)
     ok = all(
-        sum(group.count(n, k) for k in range(1, n + 2)) == _order(n, group.signed)
-        for n in range(0, totals_to + 1)
+        row.evaluate(1) == _order(n, group.signed)
         for group in _GROUPS
+        for n, row in enumerate(group.rows(totals_to))
     )
     yield "formulas.totals", ok, f"rows sum to n! and 2^n*n! for n<={totals_to}"
     for group in _GROUPS:
-        for n in range(0, min(max_n, group.formulas_to) + 1):
+        for n, row in enumerate(group.rows(min(max_n, group.formulas_to))):
             table = group.tally(n)
-            ok = all(table.count(k) == group.count(n, k) for k in range(1, n + 2))
+            ok = all(table.count(k) == row.coefficient(k) for k in range(1, n + 2))
             yield f"formulas.{group.name}_census_n{n}", ok, "census equals closed form"
     special_to = min(max(max_n, 11), 30)
     ok = all(
-        signed_hultman(n, k) == signed_hultman_special(n, k)
-        for n in range(1, special_to + 1)
+        row.coefficient(k) == signed_hultman_special(n, k)
+        for n, row in enumerate(signed_rows(special_to))
         for k in (n + 1, n, n - 1)
-        if k >= 1
+        if min(n, k) >= 1
     )
     yield "formulas.special_cases", ok, f"top three k values match for n<={special_to}"
-    ok = all(_signed_row(n) == signed_gf(n) for n in range(0, agree_to + 1))
+    ok = all(row == signed_gf(n) for n, row in enumerate(signed_rows(agree_to)))
     yield "formulas.signed_recurrence", ok, f"recurrence rows equal the hook sum for n<={agree_to}"
 
 
@@ -128,10 +129,10 @@ def lemmas(max_n: int) -> Checks:
         yield f"lemmas.roundtrip_n{n}", ok_round, "recovery inverts construction"
         ok = len(seen) == _order(n, True)
         yield f"lemmas.distinct_n{n}", ok, "black matchings are pairwise distinct"
-    for n in range(0, top + 1):
+    for n, counts in enumerate(signed_rows(top)):
         pairs = census.matching_census(n)
         row = {i: v for (i, j), v in pairs.items() if j == 1}
-        ok = all(row.get(k, 0) == signed_hultman(n, k) for k in range(1, n + 2))
+        ok = all(row.get(k, 0) == counts.coefficient(k) for k in range(1, n + 2))
         yield f"lemmas.matching_slice_n{n}", ok, "hamiltonian slice equals the signed row"
         ok = sum(row.values()) == _order(n, True)
         yield f"lemmas.valid_count_n{n}", ok, "valid configurations biject with signed permutations"
@@ -197,7 +198,8 @@ def moments(max_n: int) -> Checks:
         for group in _GROUPS
     )
     yield "moments.generating_function", ok, f"derivative route agrees for n<={gf_to}"
-    ok = all(_gf_agrees(_signed_row(n), signed_moments(n)) for n in (*range(0, 121), 300))
+    rows = enumerate(signed_rows(300))
+    ok = all(_gf_agrees(row, signed_moments(n)) for n, row in rows if n <= 120 or n == 300)
     yield "moments.signed_recurrence", ok, "recurrence rows give the signed moments for n<=120 and 300"
     ok = all(
         abs(r_sum(n)) <= r_abs_sum(n) <= Fraction(2) * (1 - Fraction(1, 2**n)) / (n + 2)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from bghultman import cli, distances, golden
+from bghultman import cli, distances, golden, hultman
 from bghultman.cli import main
+from bghultman.exactmath import ExactnessError
 
 
 DIGESTS = json.loads(
@@ -204,6 +205,32 @@ class TestOutFile(object):
         assert err == f"error: [Errno 13] Permission denied: '{target}'\n"
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_failing_stream_keeps_old_file(self, tmp_path, monkeypatch):
+        # Rows 0..3 reach the temporary file before row 4 fails to divide.
+        target = tmp_path / "x.csv"
+        target.write_bytes(b"old\n")
+        seeds = [list(seed) for seed in hultman._SIGNED_SEEDS]
+        seeds[3][1] += 1
+        monkeypatch.setattr(hultman, "_SIGNED_SEEDS", tuple(map(tuple, seeds)))
+        with pytest.raises(ExactnessError):
+            main(["table", "--signed", "--n", "30", "--out", str(target)])
+        assert target.read_bytes() == b"old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_closed_pipe_is_quiet_success(self):
+        # A reader that stops after one line, as `| head -1` does: the table
+        # is far larger than a pipe buffer, so the writer meets the closed pipe.
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bghultman", "table", "--n", "200"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"n,k,count\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
 
 
 class TestBadInput:

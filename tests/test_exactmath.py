@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bghultman import exactmath
 from bghultman.exactmath import (
     ExactnessError,
     Polynomial,
@@ -103,8 +102,7 @@ class TestStirling:
             assert sum(stirling_first(n, k) for k in range(n + 1)) == factorial(n)
 
     def test_cold_cache_deep_row(self):
-        # A deep row on an empty cache must not recurse once per row.
-        exactmath._stirling_row.cache_clear()
+        # A deep row must build without hitting the recursion limit.
         assert stirling_first(1100, 1) == factorial(1099)
 
 

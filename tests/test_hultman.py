@@ -190,6 +190,9 @@ class TestGeneratingFunctions:
             for k in range(0, n + 3):
                 assert F.coefficient(k) == hultman_bona_flynn(n, k)
                 assert G.coefficient(k) == signed_hultman(n, k)
+        # The unsigned stream against rising minus falling factorial.
+        for n, row in enumerate(hultman.unsigned_rows(150)):
+            assert row == unsigned_gf(n)
 
     def test_integer_sum_matches_fraction_sum(self):
         # The route signed_gf replaced: add c * F'(0) * F(x) term by term,
@@ -266,8 +269,9 @@ class TestGeneratingFunctions:
 
 class TestSignedRecurrence:
     def test_rows_equal_hook_sum(self):
-        for n in [*range(0, 41), 60, 80, 100, 120]:
-            assert hultman._signed_row(n) == signed_gf(n)
+        for n, row in enumerate(hultman.signed_rows(120)):
+            if n <= 40 or n % 20 == 0:
+                assert row == signed_gf(n)
 
     @pytest.mark.parametrize(
         "row, index",
@@ -277,13 +281,9 @@ class TestSignedRecurrence:
         seeds = [list(seed) for seed in hultman._SIGNED_SEEDS]
         seeds[row][index] += 1
         monkeypatch.setattr(hultman, "_SIGNED_SEEDS", tuple(map(tuple, seeds)))
-        hultman._signed_row.cache_clear()
-        try:
-            with pytest.raises(ExactnessError):
-                for n in range(0, 31):
-                    hultman._signed_row(n)
-        finally:
-            hultman._signed_row.cache_clear()
+        with pytest.raises(ExactnessError):
+            for _ in hultman.signed_rows(30):
+                pass
 
     def test_table_never_sums_hooks(self, monkeypatch, capsys):
         from bghultman.cli import main
@@ -292,7 +292,6 @@ class TestSignedRecurrence:
             raise AssertionError("signed_gf called")
 
         monkeypatch.setattr(hultman, "signed_gf", refuse)
-        hultman._signed_row.cache_clear()
         assert main(["table", "--signed", "--n", "11"]) == 0
         rows = [tuple(map(int, line.split(","))) for line in capsys.readouterr().out.split()[1:]]
         assert len(rows) == 78
