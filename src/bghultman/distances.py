@@ -6,9 +6,16 @@ double-cut-and-join distance n+1-c for signed ones.  The other supported
 distances are NP-hard or open, so this module provides their cycle-based
 lower bounds plus an exact brute-force oracle: breadth-first search over the
 whole group from the identity, for any of the supported generator sets.
-BFS levels double as exact distance distributions at desk scale.  Every
-move is a position map: the new state picks its entries, some negated, from
-fixed positions of the old one, so one itemgetter applies it.
+BFS levels double as exact distance distributions at desk scale.
+
+``GeneratorSet.moves`` is right multiplication t -> compose(t, g): the new
+state picks its entries, some negated, from fixed positions of the old one.
+The BFS walks by left multiplication s -> compose(g, s) instead, which
+relabels the values of s and leaves their positions alone; one
+``bytes.translate`` applies it to a state stored as bytes.  Both give the
+same distances: the products of k generators form the same set whether each
+word is built from the left or from the right, so the two balls of every
+radius around the identity agree.
 
 Each cycle-based metric is one row of ``_METRICS``: its group (signed or
 unsigned), the census weight whose per-cycle sum it reads, and its formula
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import bpgraph
 from .census import DistributionTable, _run_census
@@ -98,9 +105,12 @@ def _move_getters(name: str, n: int) -> tuple[Callable[[Images], Images], ...]:
 class GeneratorSet:
     """A named move set generating S_n or its signed counterpart.
 
-    Every move is a right multiplication by a fixed signed permutation, so
-    undirected BFS from the identity (every set is closed under inverses)
-    computes true left-invariant sorting distances.
+    ``moves(t)`` is right multiplication: compose(t, g) for each generator g,
+    the identity's neighbours.  The BFS applies the same generators on the
+    left, compose(g, s), as value relabellings; a word of k generators
+    reaches the same set of products either way, so both give every state
+    the same distance from the identity.  Every set is closed under
+    inverses, so these are true left-invariant sorting distances.
     """
 
     name: str
@@ -234,37 +244,67 @@ def _resolve_generator(metric: str | GeneratorSet) -> GeneratorSet:
     return metric if isinstance(metric, GeneratorSet) else GeneratorSet(metric)
 
 
+@lru_cache(maxsize=None)
+def _value_tables(name: str, n: int) -> tuple[bytes, ...]:
+    # One bytes.translate table per generator g, mapping the code of each
+    # value v to that of g(v): v itself unsigned, v + n signed, where g(-v)
+    # is -g(v).  Codes outside the group map to themselves.
+    gset = GENERATOR_SETS[name]
+    shift = n if gset.signed else 0
+    tables = []
+    for g in gset.moves(tuple(range(1, n + 1))):
+        table = bytearray(range(256))
+        for v, image in enumerate(g, start=1):
+            table[shift + v] = shift + image
+            if shift:
+                table[shift - v] = shift - image
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+def _bfs_levels(n: int, gset: GeneratorSet, force: bool) -> Iterator[list[bytes]]:
+    # The BFS frontiers from the identity, level by level, as byte codes
+    # (see _value_tables); each move is one translate by a generator's table.
+    guard = BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD
+    check_size(n, guard, force, f"{gset.name} BFS")
+    limit = 128 if gset.signed else 256
+    if n >= limit:
+        raise ValueError(
+            f"{gset.name} BFS stores states as bytes, so n must be below {limit}, got {n}"
+        )
+    shift = n if gset.signed else 0
+    tables = _value_tables(gset.name, n)
+    frontier = [bytes(range(shift + 1, shift + n + 1))]
+    seen = set(frontier)
+    while frontier:
+        yield frontier
+        nxt = []
+        for state in frontier:
+            for nb in map(state.translate, tables):
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        frontier = nxt
+
+
 def bfs_distances(
     n: int, generator_set: str | GeneratorSet, force: bool = False
 ) -> dict[Images, int]:
     """Exact sorting distance of every group element, by BFS from identity."""
     gset = _resolve_generator(generator_set)
-    guard = BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD
-    check_size(n, guard, force, f"{gset.name} BFS")
-    start = tuple(range(1, n + 1))
-    dist: dict[Images, int] = {start: 0}
-    frontier = [start]
-    moves = gset.moves
-    d = 0
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for nb in moves(state):
-                if nb not in dist:
-                    dist[nb] = d + 1
-                    nxt.append(nb)
-        d += 1
-        frontier = nxt
-    return dist
+    shift = n if gset.signed else 0
+    return {
+        tuple([code - shift for code in state]): d
+        for d, level in enumerate(_bfs_levels(n, gset, force))
+        for state in level
+    }
 
 
 def bfs_level_sizes(
     n: int, generator_set: str | GeneratorSet, force: bool = False
 ) -> dict[int, int]:
-    sizes: dict[int, int] = {}
-    for d in bfs_distances(n, generator_set, force).values():
-        sizes[d] = sizes.get(d, 0) + 1
-    return sizes
+    gset = _resolve_generator(generator_set)
+    return {d: len(level) for d, level in enumerate(_bfs_levels(n, gset, force))}
 
 
 def bound_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:

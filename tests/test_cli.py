@@ -154,6 +154,20 @@ class TestDist:
         _, rows = parse_csv(out)
         assert sum(int(v) for _, v in rows) == 48
 
+    @pytest.mark.parametrize(
+        "argv, name, limit",
+        [
+            ("dist --metric transposition --n 256", "transposition", 256),
+            ("compare --metric signed_reversal --n 128", "signed_reversal", 128),
+        ],
+    )
+    def test_bfs_encoding_limit_is_one_line(self, capsys, argv, name, limit):
+        code, out, err = run_cli(capsys, *argv.split(), "--force")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {name} BFS stores states as bytes, so n must be below {limit}, got {limit}\n"
+        )
+
 
 class TestCompare:
     def test_reports_offset_and_series(self, capsys):

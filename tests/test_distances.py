@@ -88,6 +88,24 @@ def _block_interchange_moves(t):
                     yield t[:i] + t[k:l] + t[j:k] + t[i:j] + t[l:]
 
 
+# Reference BFS over tuples from ``start``, by right multiplication through
+# GeneratorSet.moves; bfs_distances must equal it from the identity.
+def _tuple_bfs(gset, start):
+    dist = {start: 0}
+    frontier = [start]
+    d = 0
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for nb in gset.moves(state):
+                if nb not in dist:
+                    dist[nb] = d + 1
+                    nxt.append(nb)
+        d += 1
+        frontier = nxt
+    return dist
+
+
 SLICING_MOVES = {
     "reversal": _reversal_moves,
     "prefix_reversal": _prefix_reversal_moves,
@@ -282,20 +300,8 @@ class TestBFS:
             n = 4 if not gset.signed else 3
             ident = bfs_distances(n, name)
             start = (3, 1, 4, 2) if not gset.signed else (-2, 3, -1)
-            dist = {start: 0}
-            frontier = [start]
-            d = 0
-            while frontier:
-                nxt = []
-                for s in frontier:
-                    for nb in gset.moves(s):
-                        if nb not in dist:
-                            dist[nb] = d + 1
-                            nxt.append(nb)
-                d += 1
-                frontier = nxt
             inv = inverse(SignedPermutation(start))
-            for x, dx in dist.items():
+            for x, dx in _tuple_bfs(gset, start).items():
                 relabeled = compose(inv, SignedPermutation(x)).images
                 assert dx == ident[relabeled]
 
@@ -312,6 +318,43 @@ class TestBFS:
             bfs_distances(-1, "transposition")
         with pytest.raises(ValueError):
             bfs_level_sizes(-1, "transposition")
+
+    def test_byte_bfs_equals_tuple_bfs(self):
+        for name, gset in GENERATOR_SETS.items():
+            for n in range(0, 5 if gset.signed else 7):
+                dist = bfs_distances(n, name)
+                assert dist == _tuple_bfs(gset, tuple(range(1, n + 1))), (name, n)
+                assert bfs_level_sizes(n, name) == Counter(dist.values()), (name, n)
+
+    def test_value_tables_are_left_multiplications(self):
+        # Each table relabels the values of an encoded t (v, or v + n when
+        # signed) as its generator g does, which is g composed after t.
+        for name, gset in GENERATOR_SETS.items():
+            stream = iter_images_signed if gset.signed else iter_images_unsigned
+            for n in range(0, 5):
+                shift = n if gset.signed else 0
+                generators = gset.moves(identity(n).images)
+                tables = D._value_tables(name, n)
+                assert len(tables) == len(generators)
+                for t in stream(n):
+                    code = bytes([shift + v for v in t])
+                    for g, table in zip(generators, tables):
+                        moved = tuple([c - shift for c in code.translate(table)])
+                        expected = compose(SignedPermutation(g), SignedPermutation(t)).images
+                        assert moved == expected, (name, g, t)
+
+    def test_encoding_limit(self):
+        # States are bytes: forced sizes past the codes fail at once, before
+        # any table is built, and the guard still speaks first.
+        built = D._value_tables.cache_info().misses
+        for name, limit in (("transposition", 256), ("prefix_signed_reversal", 128)):
+            with pytest.raises(ValueError, match=f"{name} BFS .* below {limit}, got {limit}"):
+                bfs_level_sizes(limit, name, force=True)
+            with pytest.raises(ValueError, match=f"below {limit}"):
+                bfs_distances(limit + 50, name, force=True)
+            with pytest.raises(GuardError):
+                bfs_distances(limit, name)
+        assert D._value_tables.cache_info().misses == built
 
 
 class TestDomination:

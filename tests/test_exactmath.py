@@ -126,10 +126,9 @@ class TestScalars:
             exact_div(13, 4)
 
 
-coeff = st.one_of(
-    st.integers(min_value=-20, max_value=20),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7),
-)
+# Polynomial coefficients are ints (the exactmath contract); evaluation
+# points may be rational.
+coeff = st.integers(min_value=-20, max_value=20)
 polys = st.lists(coeff, max_size=6).map(lambda cs: Polynomial(tuple(cs)))
 scalars = st.one_of(
     st.integers(min_value=-10, max_value=10),
@@ -189,7 +188,7 @@ class TestPolynomialRing:
             direct = direct * Polynomial((a, 1))
         assert linear_product(offsets) == direct
 
-    @given(polys, scalars)
+    @given(polys, st.integers(min_value=-10, max_value=10))
     def test_times_linear_matches_generic_mul(self, a, c):
         assert a.times_linear(c) == a * Polynomial((c, 1))
 
