@@ -14,7 +14,6 @@ See the ``hultman`` console script for the command-line interface.
 """
 
 from .bpgraph import (
-    BreakpointGraph,
     Configuration,
     CycleProfile,
     PerfectMatching,

@@ -14,7 +14,9 @@ A configuration is the union of an arbitrary black perfect matching with the
 fixed grey matching.  It is the breakpoint graph of some signed permutation
 exactly when its complement (grey replaced by the shifted matching
 {2i-1, 2i} plus {0, 2n+1}) is a single cycle, in which case walking that
-cycle from 0 recovers the permutation.
+cycle from 0 recovers the permutation.  ``breakpoint_graph`` returns that
+configuration: its black matching is read straight off the images, and the
+doubled sequence is never built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "InvalidConfigurationError",
     "PerfectMatching",
     "Configuration",
-    "BreakpointGraph",
     "CycleProfile",
     "matching_from_pairs",
     "grey_matching",
@@ -41,13 +42,11 @@ __all__ = [
     "iter_partner_tuples",
     "union_cycle_lengths",
     "union_cycle_count",
-    "double",
     "breakpoint_graph",
     "cycle_profile",
     "complement",
     "is_valid_breakpoint_graph",
     "recover_permutation",
-    "edge_lines",
     "cycle_count_images",
     "cycle_lengths_images",
     "MATCHING_ENUMERATION_GUARD",
@@ -65,13 +64,6 @@ class PerfectMatching:
     """Fixed-point-free involution on {0..2m-1}: partner[v] is v's neighbour."""
 
     partner: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.partner) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(v, w) for v, w in enumerate(self.partner) if v < w]
 
 
 def matching_from_pairs(pairs: Iterable[tuple[int, int]], size: int | None = None) -> PerfectMatching:
@@ -99,11 +91,15 @@ def _grey_partner(size: int) -> tuple[int, ...]:
 
 def grey_matching(n: int) -> PerfectMatching:
     """The fixed grey matching {2i, 2i+1} on 0..2n+1."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return PerfectMatching(_grey_partner(2 * n + 2))
 
 
 def grey_complement_matching(n: int) -> PerfectMatching:
     """The shifted matching {2i-1, 2i} for 1 <= i <= n, plus {0, 2n+1}."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     size = 2 * n + 2
     partner = [0] * size
     partner[0] = size - 1
@@ -116,6 +112,8 @@ def grey_complement_matching(n: int) -> PerfectMatching:
 
 def identity_matching(m: int) -> PerfectMatching:
     """The matching {i, m+i} on 0..2m-1."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
     return PerfectMatching(tuple(v + m if v < m else v - m for v in range(2 * m)))
 
 
@@ -125,6 +123,8 @@ def mu_relabeling(m: int) -> tuple[int, ...]:
     Conjugating by this map carries the grey matching onto identity_matching(m)
     and the shifted grey complement onto a fixed hamiltonian partner of it.
     """
+    if m < 0:
+        raise ValueError("m must be >= 0")
     return tuple(i // 2 if i % 2 == 0 else (i + 2 * m - 1) // 2 for i in range(2 * m))
 
 
@@ -145,6 +145,8 @@ def iter_partner_tuples(m: int) -> Iterator[tuple[int, ...]]:
     Deterministic order: the smallest unmatched vertex is paired first, with
     its partner chosen in ascending order.
     """
+    if m < 0:
+        raise ValueError("m must be >= 0")
     size = 2 * m
     partner = [-1] * size
 
@@ -217,6 +219,8 @@ class Configuration:
     black: PerfectMatching
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
         if len(self.black.partner) != 2 * self.n + 2:
             raise ValueError(
                 f"black matching covers {len(self.black.partner)} vertices, "
@@ -243,33 +247,9 @@ class CycleProfile:
         return sum(1 for length in self.lengths if length == 1)
 
 
-@dataclass(frozen=True)
-class BreakpointGraph:
-    """A validated configuration together with its source permutation."""
-
-    config: Configuration
-    source: SignedPermutation
-    doubled: tuple[int, ...]
-
-
-def double(pi: SignedPermutation) -> tuple[int, ...]:
-    """Doubled vertex sequence (0, ..., 2n+1) of a signed permutation."""
-    out = [0]
-    for v in pi.images:
-        if v > 0:
-            out.append(2 * v - 1)
-            out.append(2 * v)
-        else:
-            out.append(-2 * v)
-            out.append(-2 * v - 1)
-    out.append(2 * pi.n + 1)
-    return tuple(out)
-
-
-def breakpoint_graph(pi: SignedPermutation) -> BreakpointGraph:
+def breakpoint_graph(pi: SignedPermutation) -> Configuration:
     """Breakpoint graph of pi: black edges join doubled positions (2i, 2i+1)."""
-    config = Configuration(pi.n, PerfectMatching(tuple(_black_partner(pi.images))))
-    return BreakpointGraph(config, pi, double(pi))
+    return Configuration(pi.n, PerfectMatching(tuple(_black_partner(pi.images))))
 
 
 def cycle_profile(config: Configuration) -> CycleProfile:
@@ -326,13 +306,6 @@ def recover_permutation(config: Configuration) -> SignedPermutation:
                 f"walk produced non-adjacent doubled pair ({u}, {v})"
             )
     return validate(images)
-
-
-def edge_lines(config: Configuration) -> list[str]:
-    """Debug emission: one "B u v" / "G u v" line per edge, sorted."""
-    lines = [f"B {u} {v}" for u, v in config.black.edges()]
-    lines += [f"G {u} {v}" for u, v in grey_matching(config.n).edges()]
-    return lines
 
 
 def _black_partner(images: Sequence[int]) -> list[int]:

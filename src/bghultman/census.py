@@ -62,9 +62,6 @@ class DistributionTable:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def support(self) -> list[int]:
-        return sorted(self.counts)
-
 
 # Per-cycle weights of the DP.  "c" counts every cycle and "c_odd" the cycles
 # of odd length.  "c_minus_2c_1" counts +1 per cycle and -1 per cycle of

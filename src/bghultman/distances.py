@@ -40,7 +40,6 @@ from .perm import PermutationError, SignedPermutation, check_size
 __all__ = [
     "GeneratorSet",
     "GENERATOR_SETS",
-    "BoundReport",
     "ComparisonResult",
     "bid",
     "dcj",
@@ -48,7 +47,6 @@ __all__ = [
     "td_lower",
     "ptd_lower",
     "psrd_lower",
-    "bound_report",
     "bfs_distances",
     "bfs_level_sizes",
     "bound_distribution",
@@ -156,21 +154,13 @@ _METRICS: dict[str, _Metric] = {
 }
 
 
-def _profile(images: Sequence[int]) -> bpgraph.CycleProfile:
-    return bpgraph.CycleProfile(tuple(sorted(bpgraph.cycle_lengths_images(images))))
-
-
-def _metric_value(
-    images: Sequence[int], metric: str, profile: bpgraph.CycleProfile | None = None
-) -> int:
-    # ``profile`` is the cycle profile of ``images`` when the caller has it.
+def _metric_value(images: Sequence[int], metric: str) -> int:
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     signed, weight, value = _METRICS[metric]
     if not signed and min(images, default=1) < 0:
         raise PermutationError(f"{metric} requires an unsigned permutation")
-    if profile is None:
-        profile = _profile(images)
+    profile = bpgraph.CycleProfile(tuple(sorted(bpgraph.cycle_lengths_images(images))))
     # The cycle through vertex 0 has length 1 iff the first image is 1, or n = 0.
     zero_singleton = not images or images[0] == 1
     weights = {
@@ -209,34 +199,6 @@ def ptd_lower(pi: SignedPermutation) -> int:
 def psrd_lower(pi: SignedPermutation) -> int:
     """Prefix signed reversal bound n+1+c-2*c_1 - 2*[first != 1], clamped at 0."""
     return _metric_value(pi.images, "psrd_lower")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A bound value together with the cycle statistics behind it."""
-
-    permutation: SignedPermutation
-    metric: str
-    value: int
-    c: int
-    c_odd: int
-    c_1: int
-    first_is_one: bool
-
-
-def bound_report(pi: SignedPermutation, metric: str) -> BoundReport:
-    # An unknown metric, or a signed permutation for an unsigned metric,
-    # raises in _metric_value.
-    profile = _profile(pi.images)
-    return BoundReport(
-        permutation=pi,
-        metric=metric,
-        value=_metric_value(pi.images, metric, profile),
-        c=profile.c,
-        c_odd=profile.c_odd,
-        c_1=profile.c_1,
-        first_is_one=bool(pi.images) and pi.images[0] == 1,
-    )
 
 
 def _resolve_generator(metric: str | GeneratorSet) -> GeneratorSet:

@@ -30,7 +30,6 @@ __all__ = [
     "linear_product",
     "rising_factorial_poly",
     "shifted_falling_factorial_poly",
-    "stirling_first",
     "harmonic",
     "harmonic_squares",
     "binomial",
@@ -168,7 +167,11 @@ def linear_product(offsets: Iterable[int]) -> Polynomial:
 
 
 def rising_factorial_poly(n: int) -> Polynomial:
-    """x(x+1)...(x+n-1); its x^k coefficient is stirling_first(n, k)."""
+    """x(x+1)...(x+n-1); its x^k coefficient is the Stirling number [n, k].
+
+    [n, k], unsigned and of the first kind, counts permutations of n
+    elements with exactly k disjoint cycles.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     return linear_product(range(n))
@@ -178,20 +181,11 @@ def shifted_falling_factorial_poly(offset: int, length: int) -> Polynomial:
     """Product (x+offset)(x+offset-1)...(x+offset-length+1).
 
     With offset 0 this is the plain falling factorial, whose x^k coefficient
-    is (-1)^(length-k) * stirling_first(length, k).
+    is (-1)^(length-k) * [length, k].
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     return linear_product(offset - j for j in range(length))
-
-
-def stirling_first(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind [n, k].
-
-    Counts permutations of n elements with exactly k disjoint cycles.
-    Returns 0 for k < 0 or k > n.  Each call builds rising_factorial_poly(n).
-    """
-    return rising_factorial_poly(n).coefficient(k)
 
 
 @lru_cache(maxsize=None)

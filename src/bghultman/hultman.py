@@ -91,6 +91,8 @@ class HookPartition:
     n: int
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
         ok_hook = self.b >= 1 and self.a >= self.b and self.a + self.b <= self.n + 1
         ok_row = self.a == self.n + 1 and self.b == 0
         if not (ok_hook or ok_row):
@@ -131,7 +133,7 @@ def unsigned_rows(max_n: int) -> Iterator[Polynomial]:
 def hultman_bona_flynn(n: int, k: int) -> int:
     """Unsigned permutations of n elements with k breakpoint-graph cycles.
 
-    Equals stirling_first(n+2, k) / C(n+2, 2) when n - k is odd, else 0;
+    Equals the Stirling number [n+2, k] / C(n+2, 2) when n - k is odd, else 0;
     the division is always exact.  Read from row n of unsigned_rows.
     """
     return _cycle_row(n, False).coefficient(k)

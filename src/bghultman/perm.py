@@ -3,11 +3,11 @@
 A signed permutation of n elements stores, for each position 1..n, a signed
 image whose absolute values form a bijection of {1..n}.  Unsigned
 permutations are the all-positive special case of the same type.  The module
-provides validation, group operations, disjoint-cycle structure,
-deterministic (lexicographic) enumeration streams, and a brute-force counter
-of cycle factorisations used as an oracle elsewhere.  No census splits the
-streams by first image any more; ``first_values`` and the ``first`` argument
-of ``iter_images_*`` stay only because ``perfbench/layers.py`` times them.
+provides validation, group operations, deterministic (lexicographic)
+enumeration streams, the one size guard, and a brute-force counter of cycle
+factorisations used as a test oracle.  No census splits the streams by first
+image any more; ``first_values`` and the ``first`` argument of
+``iter_images_*`` stay only because ``perfbench/layers.py`` times them.
 """
 
 from __future__ import annotations
@@ -20,14 +20,10 @@ __all__ = [
     "PermutationError",
     "GuardError",
     "SignedPermutation",
-    "CycleDecomposition",
     "validate",
     "identity",
     "compose",
     "inverse",
-    "conjugate",
-    "cycle_decomposition",
-    "cycle_count",
     "iter_images_unsigned",
     "iter_images_signed",
     "first_values",
@@ -35,7 +31,6 @@ __all__ = [
     "enumerate_signed",
     "count_factorizations",
     "check_size",
-    "parse_permutation",
     "format_permutation",
     "UNSIGNED_ENUMERATION_GUARD",
     "SIGNED_ENUMERATION_GUARD",
@@ -80,27 +75,8 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.images)
 
-    @property
-    def is_unsigned(self) -> bool:
-        return all(v > 0 for v in self.images)
-
     def __str__(self) -> str:
         return format_permutation(self)
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Disjoint cycles covering {1..n}, in canonical form.
-
-    Each cycle is rotated so its minimum element comes first, and cycles are
-    sorted by their minima, so equal decompositions compare equal.
-    """
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.cycles)
 
 
 def validate(images: Iterable[int]) -> SignedPermutation:
@@ -149,11 +125,6 @@ def inverse(pi: SignedPermutation) -> SignedPermutation:
     return SignedPermutation(tuple(out))
 
 
-def conjugate(pi: SignedPermutation, sigma: SignedPermutation) -> SignedPermutation:
-    """sigma o pi o sigma^{-1}: relabels pi's cycle structure through sigma."""
-    return compose(compose(sigma, pi), inverse(sigma))
-
-
 def _cycles(images: Sequence[int]) -> Iterator[tuple[int, ...]]:
     # Canonical cycles of an unsigned image tuple: each starts at its
     # minimum, and they come in ascending order of minimum.
@@ -168,17 +139,6 @@ def _cycles(images: Sequence[int]) -> Iterator[tuple[int, ...]]:
             cyc.append(j)
             j = images[j - 1]
         yield tuple(cyc)
-
-
-def cycle_decomposition(pi: SignedPermutation) -> CycleDecomposition:
-    """Canonical disjoint-cycle decomposition; fixed points are 1-cycles."""
-    if not pi.is_unsigned:
-        raise PermutationError("cycle decomposition requires an unsigned permutation")
-    return CycleDecomposition(tuple(_cycles(pi.images)))
-
-
-def cycle_count(pi: SignedPermutation) -> int:
-    return cycle_decomposition(pi).count
 
 
 def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -273,16 +233,6 @@ def count_factorizations(n: int, k: int, force: bool = False) -> int:
         if len(next(_cycles(rho))) == n + 1:  # one cycle covers all
             count += 1
     return count
-
-
-def parse_permutation(text: str) -> SignedPermutation:
-    """Parse comma- or space-separated signed integers, e.g. "-5 1 2 4"."""
-    tokens = text.replace(",", " ").split()
-    try:
-        images = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise PermutationError(f"cannot parse permutation from {text!r}") from exc
-    return validate(images)
 
 
 def format_permutation(pi: SignedPermutation) -> str:

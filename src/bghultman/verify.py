@@ -117,14 +117,14 @@ def lemmas(max_n: int) -> Checks:
         ok_round = True
         seen = set()
         for pi in perm.enumerate_signed(n):
-            bg = bpgraph.breakpoint_graph(pi)
-            if not bpgraph.is_valid_breakpoint_graph(bg.config):
+            config = bpgraph.breakpoint_graph(pi)
+            if not bpgraph.is_valid_breakpoint_graph(config):
                 ok_valid = False
                 break
-            if bpgraph.recover_permutation(bg.config) != pi:
+            if bpgraph.recover_permutation(config) != pi:
                 ok_round = False
                 break
-            seen.add(bg.config.black.partner)
+            seen.add(config.black.partner)
         yield f"lemmas.valid_n{n}", ok_valid, "every breakpoint graph has a hamiltonian complement"
         yield f"lemmas.roundtrip_n{n}", ok_round, "recovery inverts construction"
         ok = len(seen) == _order(n, True)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bghultman import bpgraph as bg
+from bghultman.hultman import HookPartition, hook_partitions
 from bghultman.perm import GuardError, SignedPermutation, enumerate_signed, identity, validate
 
 FIG2_PERM = validate([-5, 1, 2, 4, -7, -3, 6])
@@ -30,52 +31,57 @@ def double_factorial_odd(m):
     return out
 
 
+def doubled_black(doubled):
+    # Black edges join doubled positions (2i, 2i+1).
+    return bg.matching_from_pairs(zip(doubled[0::2], doubled[1::2]), size=len(doubled))
+
+
 class TestDoubling:
     def test_fig2_sequence(self):
-        assert bg.double(FIG2_PERM) == FIG2_DOUBLED
+        assert bg.breakpoint_graph(FIG2_PERM).black == doubled_black(FIG2_DOUBLED)
 
     def test_single_negative(self):
-        assert bg.double(validate([-1])) == (0, 2, 1, 3)
+        assert bg.breakpoint_graph(validate([-1])).black == doubled_black((0, 2, 1, 3))
 
     def test_identity(self):
-        assert bg.double(identity(2)) == (0, 1, 2, 3, 4, 5)
+        assert bg.breakpoint_graph(identity(2)).black == doubled_black((0, 1, 2, 3, 4, 5))
 
 
 class TestBreakpointGraph:
     def test_identity_profile(self):
         for n in range(6):
-            profile = bg.cycle_profile(bg.breakpoint_graph(identity(n)).config)
+            profile = bg.cycle_profile(bg.breakpoint_graph(identity(n)))
             assert profile.lengths == (1,) * (n + 1)
             assert profile.c == profile.c_odd == profile.c_1 == n + 1
 
     def test_fig2_has_two_cycles(self):
-        assert bg.cycle_profile(bg.breakpoint_graph(FIG2_PERM).config).c == 2
+        assert bg.cycle_profile(bg.breakpoint_graph(FIG2_PERM)).c == 2
 
     def test_swap_is_one_three_cycle(self):
-        profile = bg.cycle_profile(bg.breakpoint_graph(validate([2, 1])).config)
+        profile = bg.cycle_profile(bg.breakpoint_graph(validate([2, 1])))
         assert profile.lengths == (3,)
 
     def test_negative_singleton_profile(self):
-        profile = bg.cycle_profile(bg.breakpoint_graph(validate([-1])).config)
+        profile = bg.cycle_profile(bg.breakpoint_graph(validate([-1])))
         assert profile.lengths == (2,)
         assert profile.c == 1 and profile.c_odd == 0 and profile.c_1 == 0
 
     @given(signed_perms())
     def test_lengths_sum_and_range(self, pi):
-        profile = bg.cycle_profile(bg.breakpoint_graph(pi).config)
+        profile = bg.cycle_profile(bg.breakpoint_graph(pi))
         assert sum(profile.lengths) == pi.n + 1
         assert 1 <= profile.c <= pi.n + 1
 
     @given(signed_perms())
     def test_fast_counters_agree(self, pi):
-        profile = bg.cycle_profile(bg.breakpoint_graph(pi).config)
+        profile = bg.cycle_profile(bg.breakpoint_graph(pi))
         assert bg.cycle_count_images(pi.images) == profile.c
         assert tuple(sorted(bg.cycle_lengths_images(pi.images))) == profile.lengths
 
 
 class TestComplementAndValidity:
     def test_fig2_complement_is_hamiltonian(self):
-        config = bg.breakpoint_graph(FIG2_PERM).config
+        config = bg.breakpoint_graph(FIG2_PERM)
         assert bg.union_cycle_count(*bg.complement(config)) == 1
         assert bg.is_valid_breakpoint_graph(config)
 
@@ -87,7 +93,7 @@ class TestComplementAndValidity:
     def test_identity_complement_covers_all_vertices(self):
         for n in range(5):
             # One cycle with n + 1 black edges meets all 2n + 2 vertices.
-            union = bg.complement(bg.breakpoint_graph(identity(n)).config)
+            union = bg.complement(bg.breakpoint_graph(identity(n)))
             assert bg.union_cycle_lengths(*union) == (n + 1,)
 
     def test_tiny_invalid_configuration(self):
@@ -96,7 +102,7 @@ class TestComplementAndValidity:
 
     @given(signed_perms())
     def test_all_breakpoint_graphs_valid(self, pi):
-        assert bg.is_valid_breakpoint_graph(bg.breakpoint_graph(pi).config)
+        assert bg.is_valid_breakpoint_graph(bg.breakpoint_graph(pi))
 
 
 class TestRecovery:
@@ -112,12 +118,12 @@ class TestRecovery:
     def test_round_trip_exhaustive(self):
         for n in range(4):
             for pi in enumerate_signed(n):
-                config = bg.breakpoint_graph(pi).config
+                config = bg.breakpoint_graph(pi)
                 assert bg.recover_permutation(config) == pi
 
     @given(signed_perms())
     def test_round_trip_random(self, pi):
-        assert bg.recover_permutation(bg.breakpoint_graph(pi).config) == pi
+        assert bg.recover_permutation(bg.breakpoint_graph(pi)) == pi
 
     def test_valid_configurations_biject_with_permutations(self):
         for n in range(4):
@@ -185,7 +191,29 @@ class TestRelabeling:
             bg.conjugate_matching(bg.grey_matching(1), (0, 0, 1, 2))
 
 
-class TestEdgeLines:
-    def test_debug_emission(self):
-        lines = bg.edge_lines(bg.breakpoint_graph(validate([-1])).config)
-        assert lines == ["B 0 2", "B 1 3", "G 0 1", "G 2 3"]
+@pytest.mark.parametrize(
+    "build",
+    [
+        bg.grey_matching,
+        bg.grey_complement_matching,
+        bg.identity_matching,
+        bg.mu_relabeling,
+        lambda m: list(bg.iter_partner_tuples(m)),
+        lambda n: bg.Configuration(n, bg.PerfectMatching(())),
+        lambda n: list(hook_partitions(n)),
+        lambda n: HookPartition(0, 0, n),
+    ],
+    ids=[
+        "grey",
+        "grey_complement",
+        "identity",
+        "mu",
+        "partner_tuples",
+        "Configuration",
+        "hook_partitions",
+        "HookPartition",
+    ],
+)
+def test_negative_size_rejected(build):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        build(-1)

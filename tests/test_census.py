@@ -218,4 +218,3 @@ class TestDistributionTable:
         assert table.count(2) == 5
         assert table.count(7) == 0
         assert table.total() == 6
-        assert table.support() == [1, 2]

@@ -11,7 +11,6 @@ from bghultman.distances import (
     bfs_level_sizes,
     bid,
     bound_distribution,
-    bound_report,
     compare_to_shifted,
     dcj,
     distance_distribution,
@@ -129,8 +128,15 @@ class TestFormulaDistances:
 
     def test_examples(self):
         assert bid(validate([2, 1])) == 1
-        assert dcj(FIG2_PERM) == 6
+        assert dcj(FIG2_PERM) == 6  # n + 1 - c with c = 2
         assert td_lower(validate([2, 1])) == 1
+        # Fig. 2 has cycle lengths (1, 7) and first image -5, so psrd_lower
+        # is n+1+c-2*c_1-2*[first != 1] = 8 + 2 - 2 - 2.
+        assert psrd_lower(FIG2_PERM) == 6
+        # The identity of 3 has c = c_1 = 4 and first image 1: (4 + 4)/2 - 4.
+        assert ptd_lower(identity(3)) == 0
+        with pytest.raises(ValueError, match="unknown metric"):
+            D._metric_value(FIG2_PERM.images, "reversal")
 
     def test_signedness_enforced(self):
         with pytest.raises(PermutationError):
@@ -139,39 +145,14 @@ class TestFormulaDistances:
             td_lower(validate([-1, 2]))
         with pytest.raises(PermutationError):
             ptd_lower(validate([-1, 2]))
-        # One row per cycle-based metric; the private route and bound_report
-        # enforce the unsigned ones too.
+        # One row per cycle-based metric; the private route enforces the
+        # unsigned ones too.
         assert list(D._METRICS) == [*D.FORMULA_METRICS, *D.BOUND_METRICS]
         unsigned = [m for m, row in D._METRICS.items() if not row.signed]
         assert unsigned == ["bid", "td_lower", "ptd_lower"]
         for metric in unsigned:
             with pytest.raises(PermutationError):
                 D._metric_value((-1, 2), metric)
-        with pytest.raises(PermutationError):
-            bound_report(validate([-1]), "td_lower")
-
-    def test_bound_report_fields(self):
-        report = bound_report(FIG2_PERM, "dcj")
-        assert report.value == 6
-        assert report.c == 2
-        assert not report.first_is_one
-        report = bound_report(identity(3), "ptd_lower")
-        assert report.c == report.c_1 == 4 and report.first_is_one
-        with pytest.raises(ValueError):
-            bound_report(FIG2_PERM, "reversal")
-
-    def test_bound_report_walks_graph_once(self, monkeypatch):
-        calls = []
-        walk = D.bpgraph.cycle_lengths_images
-
-        def counting_walk(images):
-            calls.append(images)
-            return walk(images)
-
-        monkeypatch.setattr(D.bpgraph, "cycle_lengths_images", counting_walk)
-        report = bound_report(FIG2_PERM, "psrd_lower")
-        assert len(calls) == 1
-        assert report.value == psrd_lower(FIG2_PERM)
 
 
 class TestDistributions:

@@ -16,7 +16,6 @@ from bghultman.exactmath import (
     linear_product,
     rising_factorial_poly,
     shifted_falling_factorial_poly,
-    stirling_first,
 )
 
 
@@ -66,44 +65,43 @@ class TestFactorialPolynomials:
         for n in range(41):
             poly = rising_factorial_poly(n)
             for k in range(n + 2):
-                assert poly.coefficient(k) == stirling_first(n, k)
+                assert poly.coefficient(k) == recurrence_stirling(n, k)
 
     def test_falling_coefficients_are_signed_stirling(self):
         for n in range(41):
             poly = shifted_falling_factorial_poly(0, n)
             for k in range(n + 1):
-                expected = stirling_first(n, k)
+                expected = recurrence_stirling(n, k)
                 if (n - k) % 2:
                     expected = -expected
                 assert poly.coefficient(k) == expected
 
 
 class TestStirling:
+    # The Stirling numbers [n, k] are the coefficients of rising_factorial_poly(n).
     def test_brute_force_small(self):
         for n in range(7):
+            poly = rising_factorial_poly(n)
             for k in range(n + 2):
-                assert stirling_first(n, k) == brute_stirling(n, k)
+                assert poly.coefficient(k) == brute_stirling(n, k)
 
     def test_recurrence_oracle(self):
-        assert stirling_first(4, 2) == 11 == recurrence_stirling(4, 2)
-        assert stirling_first(5, 2) == 50 == recurrence_stirling(5, 2)
-        for n in range(12):
-            for k in range(n + 1):
-                assert stirling_first(n, k) == recurrence_stirling(n, k)
+        assert rising_factorial_poly(4).coefficient(2) == 11 == recurrence_stirling(4, 2)
+        assert rising_factorial_poly(5).coefficient(2) == 50 == recurrence_stirling(5, 2)
 
     def test_diagonal_and_bounds(self):
         for n in range(10):
-            assert stirling_first(n, n) == 1
-        assert stirling_first(5, -1) == 0
-        assert stirling_first(5, 6) == 0
+            assert rising_factorial_poly(n).coefficient(n) == 1
+        assert rising_factorial_poly(5).coefficient(-1) == 0
+        assert rising_factorial_poly(5).coefficient(6) == 0
 
     def test_row_sums(self):
         for n in range(21):
-            assert sum(stirling_first(n, k) for k in range(n + 1)) == factorial(n)
+            assert sum(rising_factorial_poly(n).coeffs) == factorial(n)
 
     def test_cold_cache_deep_row(self):
         # A deep row must build without hitting the recursion limit.
-        assert stirling_first(1100, 1) == factorial(1099)
+        assert rising_factorial_poly(1100).coefficient(1) == factorial(1099)
 
 
 class TestScalars:

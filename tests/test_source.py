@@ -5,7 +5,8 @@ import bghultman
 
 # pyproject.toml declares requires-python = ">=3.10".
 FLOOR = (3, 10)
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_library_parses_on_declared_floor():
@@ -44,7 +45,7 @@ def test_one_exactness_check_and_one_size_guard():
 
 def test_one_unsigned_precondition_in_distances():
     # Every cycle-based metric's group is checked in _metric_value, the one
-    # route that bid, td_lower, ptd_lower, bound_report and verify share.
+    # route that bid, td_lower, ptd_lower and verify share.
     path = Path(bghultman.__file__).parent / "distances.py"
     sites = {"PermutationError": []}
     _RaiseSites(path.stem, sites).visit(ast.parse(path.read_text(encoding="utf-8")))
@@ -63,3 +64,57 @@ def test_no_library_call_to_r_coefficient():
                 if name == "r_coefficient":
                     callers.append(f"{path.stem}:{node.lineno}")
     assert callers == []
+
+
+# Public names that nothing outside the tests calls, kept on purpose.
+IDLE_BY_DESIGN = {
+    "hultman.r_coefficient",  # per-term oracle of r_sum
+    "perm.count_factorizations",  # brute-force oracle of the unsigned closed forms
+    "bpgraph.matching_from_pairs",  # builds the tests' matching fixtures
+    "perm.identity",  # builds the tests' permutation fixtures
+}
+
+
+def _exported(tree):
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return [elt.value for elt in stmt.value.elts]
+    return []
+
+
+def _references(tree):
+    # Every name a module loads, reads as an attribute or imports, with the
+    # top-level definition it sits in, so that no definition counts as its
+    # own caller.  Docstrings are constants and never count.
+    refs = []
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, owner))
+            elif isinstance(node, ast.alias):
+                refs.append((node.name, owner))
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    # A caller is another library module, a re-export in bghultman/__init__,
+    # a script or the benchmark; the tests alone do not keep a name alive.
+    library = sorted(Path(bghultman.__file__).parent.glob("*.py"))
+    others = sorted(SCRIPTS.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in library + others}
+    callers = {}
+    for path, tree in trees.items():
+        for name, owner in _references(tree):
+            callers.setdefault(name, set()).add((path, owner))
+    idle = {
+        f"{path.stem}.{name}"
+        for path in library
+        for name in _exported(trees[path])
+        if not callers.get(name, set()) - {(path, name)}
+    }
+    assert idle == IDLE_BY_DESIGN
