@@ -16,7 +16,6 @@ See the ``hultman`` console script for the command-line interface.
 from .bpgraph import (
     Configuration,
     CycleProfile,
-    PerfectMatching,
     breakpoint_graph,
     cycle_profile,
     is_valid_breakpoint_graph,

@@ -1,5 +1,7 @@
 """Breakpoint graphs, configurations, and perfect-matching machinery.
 
+A perfect matching of 0..2m-1 is its partner tuple: entry v is v's neighbour.
+
 The breakpoint graph of a signed permutation of n elements lives on vertices
 0..2n+1.  The permutation is doubled: image v becomes the pair (2v-1, 2v)
 when positive and (2|v|, 2|v|-1) when negative; the doubled sequence starts
@@ -29,7 +31,6 @@ from .perm import SignedPermutation, check_size, validate
 
 __all__ = [
     "InvalidConfigurationError",
-    "PerfectMatching",
     "Configuration",
     "CycleProfile",
     "matching_from_pairs",
@@ -44,7 +45,6 @@ __all__ = [
     "union_cycle_count",
     "breakpoint_graph",
     "cycle_profile",
-    "complement",
     "is_valid_breakpoint_graph",
     "recover_permutation",
     "cycle_count_images",
@@ -59,14 +59,7 @@ class InvalidConfigurationError(ValueError):
     """The configuration is not the breakpoint graph of any permutation."""
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
-    """Fixed-point-free involution on {0..2m-1}: partner[v] is v's neighbour."""
-
-    partner: tuple[int, ...]
-
-
-def matching_from_pairs(pairs: Iterable[tuple[int, int]], size: int | None = None) -> PerfectMatching:
+def matching_from_pairs(pairs: Iterable[tuple[int, int]], size: int | None = None) -> tuple[int, ...]:
     """Build a matching from edge pairs, checking it is perfect."""
     pairs = list(pairs)
     if size is None:
@@ -81,40 +74,30 @@ def matching_from_pairs(pairs: Iterable[tuple[int, int]], size: int | None = Non
         partner[v] = u
     if -1 in partner:
         raise ValueError("matching does not cover every vertex")
-    return PerfectMatching(tuple(partner))
+    return tuple(partner)
 
 
 @lru_cache(maxsize=None)
-def _grey_partner(size: int) -> tuple[int, ...]:
-    return tuple(v ^ 1 for v in range(size))
-
-
-def grey_matching(n: int) -> PerfectMatching:
-    """The fixed grey matching {2i, 2i+1} on 0..2n+1."""
+def grey_matching(n: int) -> tuple[int, ...]:
+    """The fixed grey matching {2i, 2i+1} on 0..2n+1: v's partner is v XOR 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return PerfectMatching(_grey_partner(2 * n + 2))
+    return tuple(v ^ 1 for v in range(2 * n + 2))
 
 
-def grey_complement_matching(n: int) -> PerfectMatching:
+def grey_complement_matching(n: int) -> tuple[int, ...]:
     """The shifted matching {2i-1, 2i} for 1 <= i <= n, plus {0, 2n+1}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    size = 2 * n + 2
-    partner = [0] * size
-    partner[0] = size - 1
-    partner[size - 1] = 0
-    for i in range(1, n + 1):
-        partner[2 * i - 1] = 2 * i
-        partner[2 * i] = 2 * i - 1
-    return PerfectMatching(tuple(partner))
+    inner = (v + 1 if v % 2 else v - 1 for v in range(1, 2 * n + 1))
+    return (2 * n + 1, *inner, 0)
 
 
-def identity_matching(m: int) -> PerfectMatching:
+def identity_matching(m: int) -> tuple[int, ...]:
     """The matching {i, m+i} on 0..2m-1."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return PerfectMatching(tuple(v + m if v < m else v - m for v in range(2 * m)))
+    return tuple(v + m if v < m else v - m for v in range(2 * m))
 
 
 def mu_relabeling(m: int) -> tuple[int, ...]:
@@ -128,15 +111,15 @@ def mu_relabeling(m: int) -> tuple[int, ...]:
     return tuple(i // 2 if i % 2 == 0 else (i + 2 * m - 1) // 2 for i in range(2 * m))
 
 
-def conjugate_matching(phi: PerfectMatching, relabel: Sequence[int]) -> PerfectMatching:
+def conjugate_matching(phi: Sequence[int], relabel: Sequence[int]) -> tuple[int, ...]:
     """Relabel both endpoints of every edge of phi through the bijection."""
-    size = len(phi.partner)
+    size = len(phi)
     if sorted(relabel) != list(range(size)):
         raise ValueError("relabeling is not a bijection of the vertex set")
     out = [0] * size
     for v in range(size):
-        out[relabel[v]] = relabel[phi.partner[v]]
-    return PerfectMatching(tuple(out))
+        out[relabel[v]] = relabel[phi[v]]
+    return tuple(out)
 
 
 def iter_partner_tuples(m: int) -> Iterator[tuple[int, ...]]:
@@ -170,12 +153,12 @@ def iter_partner_tuples(m: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-def enumerate_matchings(m: int, force: bool = False) -> Iterator[PerfectMatching]:
+def enumerate_matchings(m: int, force: bool = False) -> Iterator[tuple[int, ...]]:
     """All (2m-1)!! perfect matchings of {0..2m-1}."""
     if m < 1:
         raise ValueError("m must be >= 1")
     check_size(m, MATCHING_ENUMERATION_GUARD, force, "matching enumeration")
-    return (PerfectMatching(t) for t in iter_partner_tuples(m))
+    return iter_partner_tuples(m)
 
 
 def _union_lengths(pa: Sequence[int], pb: Sequence[int]) -> list[int]:
@@ -200,14 +183,14 @@ def _union_lengths(pa: Sequence[int], pb: Sequence[int]) -> list[int]:
     return out
 
 
-def union_cycle_lengths(a: PerfectMatching, b: PerfectMatching) -> tuple[int, ...]:
+def union_cycle_lengths(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Sorted alternating-cycle lengths of a union of two matchings."""
-    if len(a.partner) != len(b.partner):
+    if len(a) != len(b):
         raise ValueError("matchings live on different vertex sets")
-    return tuple(sorted(_union_lengths(a.partner, b.partner)))
+    return tuple(sorted(_union_lengths(a, b)))
 
 
-def union_cycle_count(a: PerfectMatching, b: PerfectMatching) -> int:
+def union_cycle_count(a: Sequence[int], b: Sequence[int]) -> int:
     return len(union_cycle_lengths(a, b))
 
 
@@ -216,14 +199,14 @@ class Configuration:
     """Black perfect matching on 0..2n+1; the grey matching is implicit."""
 
     n: int
-    black: PerfectMatching
+    black: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be >= 0")
-        if len(self.black.partner) != 2 * self.n + 2:
+        if len(self.black) != 2 * self.n + 2:
             raise ValueError(
-                f"black matching covers {len(self.black.partner)} vertices, "
+                f"black matching covers {len(self.black)} vertices, "
                 f"expected {2 * self.n + 2}"
             )
 
@@ -249,62 +232,39 @@ class CycleProfile:
 
 def breakpoint_graph(pi: SignedPermutation) -> Configuration:
     """Breakpoint graph of pi: black edges join doubled positions (2i, 2i+1)."""
-    return Configuration(pi.n, PerfectMatching(tuple(_black_partner(pi.images))))
+    return Configuration(pi.n, tuple(_black_partner(pi.images)))
 
 
 def cycle_profile(config: Configuration) -> CycleProfile:
     """Alternating-cycle lengths of black union grey; exposes c, c_odd, c_1."""
-    lengths = _union_lengths(config.black.partner, grey_matching(config.n).partner)
-    return CycleProfile(tuple(sorted(lengths)))
-
-
-def complement(config: Configuration) -> tuple[PerfectMatching, PerfectMatching]:
-    """The configuration with grey edges shifted sideways by one position.
-
-    Returned as the pair (black, shifted grey) of matchings whose union it is.
-    """
-    return config.black, grey_complement_matching(config.n)
+    return CycleProfile(union_cycle_lengths(config.black, grey_matching(config.n)))
 
 
 def is_valid_breakpoint_graph(config: Configuration) -> bool:
     """True iff the complement is a single cycle (2-regular hamiltonicity)."""
-    return union_cycle_count(*complement(config)) == 1
+    return union_cycle_count(config.black, grey_complement_matching(config.n)) == 1
 
 
 def recover_permutation(config: Configuration) -> SignedPermutation:
     """Read the permutation back off a valid configuration.
 
     Walks the complement cycle from vertex 0, alternating black and shifted
-    grey edges, then decodes each doubled pair: (2v-1, 2v) read in that order
-    means +v, (2v, 2v-1) means -v.
+    grey edges.  Each black edge enters a doubled pair, whose shifted grey
+    edge leads across it: entering {2v-1, 2v} at 2v-1 means +v, at 2v means
+    -v.  The cycle is hamiltonian, so it meets 2n+1, whose shifted partner
+    is 0, only after the n-th pair.
     """
-    n = config.n
     if not is_valid_breakpoint_graph(config):
         raise InvalidConfigurationError(
             "complement is not a single cycle; no permutation corresponds"
         )
-    black = config.black.partner
-    shifted = grey_complement_matching(n).partner
-    seq = [0]
-    w = black[0]
-    seq.append(w)
-    for _ in range(n):
-        w = shifted[w]
-        seq.append(w)
-        w = black[w]
-        seq.append(w)
+    black = config.black
+    shifted = grey_complement_matching(config.n)
     images = []
-    for i in range(1, n + 1):
-        u, v = seq[2 * i - 1], seq[2 * i]
-        if u % 2 == 1 and v == u + 1:
-            images.append((u + 1) // 2)
-        elif u % 2 == 0 and v == u - 1:
-            images.append(u // 2)
-            images[-1] = -images[-1]
-        else:
-            raise InvalidConfigurationError(
-                f"walk produced non-adjacent doubled pair ({u}, {v})"
-            )
+    u = black[0]
+    for _ in range(config.n):
+        images.append((u + 1) // 2 if u % 2 else -(u // 2))
+        u = black[shifted[u]]
     return validate(images)
 
 
@@ -338,9 +298,8 @@ def cycle_count_images(images: Sequence[int]) -> int:
 def cycle_lengths_images(images: Sequence[int]) -> list[int]:
     """Alternating-cycle lengths (black-edge counts) from raw images.
 
-    Avoids building permutation and matching objects.  The grey partner of
-    vertex v is v XOR 1 and its tuple is cached per size, so only the black
-    partner array is built per call.
+    Avoids building permutation and configuration objects.  The grey
+    matching is cached per size, so only the black partner array is built
+    per call.
     """
-    black = _black_partner(images)
-    return _union_lengths(black, _grey_partner(len(black)))
+    return _union_lengths(_black_partner(images), grey_matching(len(images)))

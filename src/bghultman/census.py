@@ -196,11 +196,11 @@ def matching_census(n: int, force: bool = False) -> dict[tuple[int, int], int]:
     are the black matchings of valid breakpoint graphs.
     """
     perm.check_size(n, MATCHING_CENSUS_GUARD, force, "matching census")
-    grey = bpgraph.grey_matching(n).partner
-    shifted = bpgraph.grey_complement_matching(n).partner
-    walk = bpgraph._union_lengths
+    grey = bpgraph.grey_matching(n)
+    shifted = bpgraph.grey_complement_matching(n)
+    count = bpgraph.union_cycle_count
     pairs = (
-        (len(walk(grey, tau)), len(walk(tau, shifted)))
+        (count(grey, tau), count(tau, shifted))
         for tau in bpgraph.iter_partner_tuples(n + 1)
     )
     return dict(Counter(pairs))

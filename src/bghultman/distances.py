@@ -291,7 +291,7 @@ def distance_distribution(n: int, metric: str, force: bool = False) -> Distribut
     if n < 0:
         raise ValueError(f"size must be >= 0, got {n}")
     if metric in FORMULA_METRICS:
-        return DistributionTable(n, metric, _shifted_counts(n, _METRICS[metric].signed, 0))
+        return DistributionTable(n, metric, _closed_form_counts(n, metric))
     if metric in BOUND_METRICS:
         return bound_distribution(n, metric, force=force)
     if metric in GENERATOR_SETS:
@@ -311,17 +311,11 @@ class ComparisonResult:
     rows: tuple[tuple[int, int, int], ...]  # (k, distance count, shifted count)
 
 
-def _shifted_counts(n: int, signed: bool, m: int) -> dict[int, int]:
-    # Shifted cycle-count family: index n+1-k+m (signed) or n+1-2k+m
-    # (unsigned, whose counts vanish at every other index).
-    row = _cycle_row(n, signed)
-    step = 1 if signed else 2
-    counts = {}
-    for k in range(-(2 * n + 2), 2 * n + 3):
-        v = row.coefficient(n + 1 - step * k + m)
-        if v:
-            counts[k] = v
-    return counts
+def _closed_form_counts(n: int, metric: str) -> dict[int, int]:
+    # {value(n, c): count} over the nonzero coefficients of the closed-form
+    # row, for a metric whose weight is c itself.
+    signed, _, value = _METRICS[metric]
+    return {value(n, c): v for c, v in enumerate(_cycle_row(n, signed).coeffs) if v}
 
 
 def compare_to_shifted(
@@ -335,14 +329,21 @@ def compare_to_shifted(
     """
     gset = _resolve_generator(metric)
     dist = bfs_level_sizes(n, gset, force)
+    # Offset m shifts the cycle-count index, and so the distance, by m/step;
+    # the unsigned table has no mass at an odd offset.
+    step = 1 if gset.signed else 2
+    table = _closed_form_counts(n, "dcj" if gset.signed else "bid")
+
+    def shifted_counts(m: int) -> dict[int, int]:
+        return {} if m % step else {k + m // step: v for k, v in table.items()}
 
     def total_variation(m: int) -> int:
-        shifted = _shifted_counts(n, gset.signed, m)
+        shifted = shifted_counts(m)
         return sum(abs(dist.get(k, 0) - shifted.get(k, 0)) for k in set(dist) | set(shifted))
 
     # min keeps the first minimum, so a tie goes to the smaller offset.
     best_m = min(range(-(n + 1), n + 2), key=total_variation)
-    shifted = _shifted_counts(n, gset.signed, best_m)
+    shifted = shifted_counts(best_m)
     keys = sorted(set(dist) | set(shifted))
     rows = tuple((k, dist.get(k, 0), shifted.get(k, 0)) for k in keys)
     return ComparisonResult(n, gset.name, best_m, sum(abs(d - s) for _, d, s in rows), rows)

@@ -10,8 +10,8 @@ and generating functions whose degree stays small (at most a few hundred
 here); a rational combination is summed over a common denominator and
 divided exactly at the end.  Products of linear factors are built one
 factor at a time (``times_linear``), and a known linear factor is taken out
-again by exact synthetic division (``over_linear``), each in O(degree)
-steps.  No polynomial is cached: a consumer of many rows steps one product
+again (``over_linear``) by ``exact_div``, whose long division by a monic
+divisor costs O(degree) steps when that divisor is linear.  No polynomial is cached: a consumer of many rows steps one product
 forward.  Only the harmonic sums are memoised, as their callers repeat an n.
 """
 

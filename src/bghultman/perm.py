@@ -99,7 +99,13 @@ def validate(images: Iterable[int]) -> SignedPermutation:
     return SignedPermutation(imgs)
 
 
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+
 def identity(n: int) -> SignedPermutation:
+    _check_n(n)
     return SignedPermutation(tuple(range(1, n + 1)))
 
 
@@ -142,11 +148,12 @@ def _cycles(images: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Raw lexicographic stream of unsigned image tuples (census hot path).
+    """Raw lexicographic stream of unsigned image tuples.
 
     With ``first`` given, only permutations starting with that image are
     produced; the full stream is the concatenation over first = 1..n.
     """
+    _check_n(n)
     if first is None:
         yield from itertools.permutations(range(1, n + 1))
         return
@@ -158,7 +165,8 @@ def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int
 
 
 def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Raw lexicographic stream of signed image tuples (census hot path)."""
+    """Raw lexicographic stream of signed image tuples."""
+    _check_n(n)
     if first is not None and not 1 <= abs(first) <= n:
         raise PermutationError(f"first image {first} outside range for n={n}")
     if n == 0:
@@ -191,6 +199,7 @@ def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, 
 
 def first_values(n: int, signed: bool) -> tuple[int, ...]:
     """First-image values splitting the enumeration into disjoint ranges."""
+    _check_n(n)
     if signed:
         return tuple(range(-n, 0)) + tuple(range(1, n + 1))
     return tuple(range(1, n + 1))

@@ -124,7 +124,7 @@ def lemmas(max_n: int) -> Checks:
             if bpgraph.recover_permutation(config) != pi:
                 ok_round = False
                 break
-            seen.add(config.black.partner)
+            seen.add(config.black)
         yield f"lemmas.valid_n{n}", ok_valid, "every breakpoint graph has a hamiltonian complement"
         yield f"lemmas.roundtrip_n{n}", ok_round, "recovery inverts construction"
         ok = len(seen) == _order(n, True)

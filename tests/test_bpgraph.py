@@ -6,7 +6,16 @@ from hypothesis import strategies as st
 
 from bghultman import bpgraph as bg
 from bghultman.hultman import HookPartition, hook_partitions
-from bghultman.perm import GuardError, SignedPermutation, enumerate_signed, identity, validate
+from bghultman.perm import (
+    GuardError,
+    SignedPermutation,
+    enumerate_signed,
+    first_values,
+    identity,
+    iter_images_signed,
+    iter_images_unsigned,
+    validate,
+)
 
 FIG2_PERM = validate([-5, 1, 2, 4, -7, -3, 6])
 FIG2_DOUBLED = (0, 10, 9, 1, 2, 3, 4, 7, 8, 14, 13, 6, 5, 11, 12, 15)
@@ -79,22 +88,26 @@ class TestBreakpointGraph:
         assert tuple(sorted(bg.cycle_lengths_images(pi.images))) == profile.lengths
 
 
+def complement_lengths(config):
+    # The configuration with its grey edges shifted sideways by one position.
+    return bg.union_cycle_lengths(config.black, bg.grey_complement_matching(config.n))
+
+
 class TestComplementAndValidity:
     def test_fig2_complement_is_hamiltonian(self):
         config = bg.breakpoint_graph(FIG2_PERM)
-        assert bg.union_cycle_count(*bg.complement(config)) == 1
+        assert len(complement_lengths(config)) == 1
         assert bg.is_valid_breakpoint_graph(config)
 
     def test_non_hamiltonian_fixture(self):
         config = bg.Configuration(7, bg.matching_from_pairs(NON_HAMILTONIAN_BLACK, size=16))
-        assert bg.union_cycle_count(*bg.complement(config)) == 2
+        assert len(complement_lengths(config)) == 2
         assert not bg.is_valid_breakpoint_graph(config)
 
     def test_identity_complement_covers_all_vertices(self):
         for n in range(5):
             # One cycle with n + 1 black edges meets all 2n + 2 vertices.
-            union = bg.complement(bg.breakpoint_graph(identity(n)))
-            assert bg.union_cycle_lengths(*union) == (n + 1,)
+            assert complement_lengths(bg.breakpoint_graph(identity(n))) == (n + 1,)
 
     def test_tiny_invalid_configuration(self):
         config = bg.Configuration(1, bg.matching_from_pairs([(0, 3), (1, 2)]))
@@ -199,9 +212,13 @@ class TestRelabeling:
         bg.identity_matching,
         bg.mu_relabeling,
         lambda m: list(bg.iter_partner_tuples(m)),
-        lambda n: bg.Configuration(n, bg.PerfectMatching(())),
+        lambda n: bg.Configuration(n, ()),
         lambda n: list(hook_partitions(n)),
         lambda n: HookPartition(0, 0, n),
+        identity,
+        lambda n: list(iter_images_unsigned(n)),
+        lambda n: list(iter_images_signed(n)),
+        lambda n: first_values(n, True),
     ],
     ids=[
         "grey",
@@ -212,6 +229,10 @@ class TestRelabeling:
         "Configuration",
         "hook_partitions",
         "HookPartition",
+        "perm_identity",
+        "images_unsigned",
+        "images_signed",
+        "first_values",
     ],
 )
 def test_negative_size_rejected(build):

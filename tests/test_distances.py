@@ -19,6 +19,7 @@ from bghultman.distances import (
     srd_lower,
     td_lower,
 )
+from bghultman.hultman import _cycle_row
 from bghultman.perm import (
     GuardError,
     PermutationError,
@@ -406,16 +407,36 @@ class TestCompare:
     def test_tie_goes_to_smallest_offset(self, monkeypatch):
         # With every shifted family empty, all offsets tie at the full group
         # mass, and the docstring promises the smallest one.
-        monkeypatch.setattr(D, "_shifted_counts", lambda n, signed, m: {})
+        monkeypatch.setattr(D, "_closed_form_counts", lambda n, metric: {})
         result = compare_to_shifted(3, "transposition")
         assert result.offset == -4
         assert result.total_variation == factorial(3)
 
     def test_offset_is_minimal(self):
+        # The shifted family by its definition: at offset m, distance k gets
+        # the count of c = n+1-k+m (signed) or n+1-2k+m (unsigned).
+        def family(n, signed, m):
+            row = _cycle_row(n, signed)
+            step = 1 if signed else 2
+            counts = {}
+            for k in range(-(2 * n + 2), 2 * n + 3):
+                v = row.coefficient(n + 1 - step * k + m)
+                if v:
+                    counts[k] = v
+            return counts
+
+        # compare shifts one closed-form table: by m/step keys, or to nothing.
+        for gset in GENERATOR_SETS.values():
+            step = 1 if gset.signed else 2
+            for n in range(7):
+                table = D._closed_form_counts(n, "dcj" if gset.signed else "bid")
+                for m in range(-(n + 1), n + 2):
+                    shifted = {} if m % step else {k + m // step: v for k, v in table.items()}
+                    assert shifted == family(n, gset.signed, m)
         result = compare_to_shifted(4, "prefix_reversal")
         dist = bfs_level_sizes(4, "prefix_reversal")
         for m in range(-5, 6):
-            shifted = D._shifted_counts(4, False, m)
+            shifted = family(4, False, m)
             keys = set(dist) | set(shifted)
             tv = sum(abs(dist.get(k, 0) - shifted.get(k, 0)) for k in keys)
             assert result.total_variation <= tv

@@ -118,3 +118,38 @@ def test_every_public_name_has_a_caller():
         if not callers.get(name, set()) - {(path, name)}
     }
     assert idle == IDLE_BY_DESIGN
+
+
+# Private names one library module still reads from another.
+ALLOWED_REACH_INS = {
+    "distances -> census._run_census",  # the census runner behind bound_distribution
+    "distances -> hultman._cycle_row",  # the closed-form row that bid and dcj read
+    "verify -> distances._metric_value",  # the per-permutation bound check
+}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_reach_ins():
+    reach_ins = set()
+    for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # local names bound to sibling modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        reach_ins.add(f"{path.stem} -> {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and _private(node.attr)
+            ):
+                reach_ins.add(f"{path.stem} -> {node.value.id}.{node.attr}")
+    assert reach_ins == ALLOWED_REACH_INS
