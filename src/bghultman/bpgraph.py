@@ -204,11 +204,12 @@ class Configuration:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be >= 0")
-        if len(self.black) != 2 * self.n + 2:
-            raise ValueError(
-                f"black matching covers {len(self.black)} vertices, "
-                f"expected {2 * self.n + 2}"
-            )
+        size, black = 2 * self.n + 2, self.black
+        # A perfect matching of 0..2n+1 is a fixed-point-free involution of it.
+        if len(black) != size or not all(
+            0 <= w < size and w != v and black[w] == v for v, w in enumerate(black)
+        ):
+            raise ValueError(f"black {black} is not a perfect matching of 0..{size - 1}")
 
 
 @dataclass(frozen=True)

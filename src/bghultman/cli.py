@@ -2,8 +2,8 @@
 
 Commands: table, census, moments, dist, compare, verify.  All numeric output
 is exact; counts are decimal strings and rationals are "p/q" strings.  Float
-columns are explicitly marked as hints.  CSV lines are written as they are
-produced, so ``table`` holds one row of counts at a time.
+columns are explicitly marked as hints.  CSV and JSON alike are written as
+rows are produced, so ``table`` holds one row of counts at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from itertools import chain
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import census, distances, verify
 from .hultman import signed_moments, signed_rows, unsigned_moments, unsigned_rows
@@ -22,18 +22,19 @@ from .perm import GuardError
 __all__ = ["main"]
 
 
-def _write(
-    args: argparse.Namespace, header: str, rows: Iterable[Sequence[Any]], payload: Callable[[], Any]
-) -> None:
-    """Write ``rows`` as CSV under ``header``, or ``payload()`` as JSON, per --format.
+def _write(args: argparse.Namespace, columns: Sequence[str], document: dict[str, Any]) -> None:
+    """Write ``document``, whose last value is an iterable of rows, per --format.
 
-    CSV lines go out as ``rows`` yields them, to stdout or to --out through a
-    temporary file in the same directory that replaces it only once complete.
+    CSV is the ``columns`` header and one line per row; JSON is what
+    ``json.dumps(document, indent=2)`` would give (see ``_json_text``).  Text
+    goes out as the rows come, to stdout or to --out through a temporary file
+    in the same directory that replaces it only once complete.
     """
+    *head, (container, rows) = document.items()
     if args.format == "csv":
-        text = chain([header + "\n"], (",".join(map(str, row)) + "\n" for row in rows))
+        text = chain([",".join(columns) + "\n"], (",".join(map(str, row)) + "\n" for row in rows))
     else:
-        text = [json.dumps(payload(), indent=2) + "\n"]
+        text = _json_text(columns, dict(head), container, rows)
     if args.out is None:
         try:
             sys.stdout.writelines(text)
@@ -54,23 +55,41 @@ def _write(
             os.remove(tmp)
 
 
+def _json_text(
+    columns: Sequence[str], head: dict[str, Any], container: str, rows: Iterable[Sequence[Any]]
+) -> Iterator[str]:
+    # A "counts" container maps each row's first string to its second; any
+    # other lists one object per row, keyed by the columns not in ``head``.
+    # Each row fills a template built once, and only strings go through
+    # json.dumps, whose compact form runs in C.
+    counts = container == "counts"
+    fields = (f"      {json.dumps(c)}: {{{i}}}" for i, c in enumerate(columns) if c not in head)
+    template = "    {0}: {1}" if counts else "    {{\n" + ",\n".join(fields) + "\n    }}"
+    opening, closing = "{}" if counts else "[]"
+    yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
+    yield f"  {json.dumps(container)}: {opening}"
+    sep = "\n"
+    for row in rows:
+        yield sep + template.format(*[json.dumps(v) if isinstance(v, str) else v for v in row])
+        sep = ",\n"
+    yield ("\n  " if sep == ",\n" else "") + closing + "\n}\n"
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     stream = enumerate((signed_rows if args.signed else unsigned_rows)(args.n))
     cells = ((n, k, row.coefficient(k)) for n, row in stream for k in range(1, n + 2))
-    rows = ((n, k, str(v)) for n, k, v in cells if v or args.dense)
-    _write(args, "n,k,count", rows, lambda: {
+    _write(args, ("n", "k", "count"), {
         "statistic": "signed_cycles" if args.signed else "unsigned_cycles",
-        "rows": [{"n": n, "k": k, "count": v} for n, k, v in rows],
+        "rows": ((n, k, str(v)) for n, k, v in cells if v or args.dense),
     })
     return 0
 
 
 def _write_distribution(table: census.DistributionTable, args: argparse.Namespace) -> None:
-    rows = sorted(table.counts.items())
-    _write(args, "k,count", rows, lambda: {
+    _write(args, ("k", "count"), {
         "n": table.n,
         "statistic": table.statistic,
-        "counts": {str(k): str(v) for k, v in rows},
+        "counts": ((str(k), str(v)) for k, v in sorted(table.counts.items())),
     })
 
 
@@ -88,16 +107,15 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    rows = []
-    for n in range(1, args.max_n + 1):
+    def row(n: int) -> tuple[Any, ...]:
         pair = signed_moments(n) if args.signed else unsigned_moments(n)
         exact = [f"{x.numerator}/{x.denominator}" for x in (pair.mean, pair.variance)]
         hints = [f"{float(x):.15g}" for x in (pair.mean, pair.variance)]
-        rows.append((n, *exact, *hints))
-    keys = ("n", "mean", "variance", "mean_float", "variance_float")
-    _write(args, ",".join(keys), rows, lambda: {
+        return (n, *exact, *hints)
+
+    _write(args, ("n", "mean", "variance", "mean_float", "variance_float"), {
         "statistic": "signed_cycles" if args.signed else "unsigned_cycles",
-        "rows": [dict(zip(keys, row)) for row in rows],
+        "rows": map(row, range(1, args.max_n + 1)),
     })
     return 0
 
@@ -110,13 +128,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     result = distances.compare_to_shifted(args.n, args.metric, force=args.force)
-    rows = [row + (result.offset,) for row in result.rows]
-    _write(args, "k,distance,shifted,offset", rows, lambda: {
+    _write(args, ("k", "distance", "shifted", "offset"), {
         "n": result.n,
         "metric": result.metric,
         "offset": result.offset,
         "total_variation": str(result.total_variation),
-        "rows": [{"k": k, "distance": str(d), "shifted": str(s)} for k, d, s in result.rows],
+        "rows": ((k, str(d), str(s), result.offset) for k, d, s in result.rows),
     })
     return 0
 

@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial
 
 import pytest
@@ -112,6 +113,24 @@ class TestComplementAndValidity:
     def test_tiny_invalid_configuration(self):
         config = bg.Configuration(1, bg.matching_from_pairs([(0, 3), (1, 2)]))
         assert not bg.is_valid_breakpoint_graph(config)
+
+    def test_non_matching_black_rejected(self):
+        # 0 and 1 swap while 2 and 3 both point at 0.  Were it accepted, it
+        # would pass the validity check and recover the permutation (1,).
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            bg.Configuration(1, (1, 0, 0, 0))
+
+    def test_accepts_exactly_perfect_matchings(self):
+        for n in range(3):
+            size = 2 * n + 2
+            matchings = set(bg.iter_partner_tuples(n + 1))
+            for black in product(range(size), repeat=size):
+                try:
+                    bg.Configuration(n, black)
+                except ValueError:
+                    assert black not in matchings
+                else:
+                    assert black in matchings
 
     @given(signed_perms())
     def test_all_breakpoint_graphs_valid(self, pi):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bghultman import cli, distances, golden, hultman
+from bghultman import census, cli, distances, golden, hultman
 from bghultman.cli import main
 from bghultman.exactmath import ExactnessError
 
@@ -65,10 +65,14 @@ class TestTable:
         assert ["3", "1", "0"] in rows
 
     def test_json_counts_are_strings(self, capsys):
-        _, out, _ = run_cli(capsys, "table", "--signed", "--n", "2", "--format", "json")
+        _, out, _ = run_cli(capsys, "table", "--signed", "--n", "6", "--format", "json")
+        _, csv_out, _ = run_cli(capsys, "table", "--signed", "--n", "6")
         payload = json.loads(out)
         assert payload["statistic"] == "signed_cycles"
-        assert all(isinstance(row["count"], str) for row in payload["rows"])
+        counts = [row["count"] for row in payload["rows"]]
+        assert len(counts) == 28 and all(isinstance(count, str) for count in counts)
+        _, csv_rows = parse_csv(csv_out)
+        assert [[str(r["n"]), str(r["k"]), r["count"]] for r in payload["rows"]] == csv_rows
 
 
 class TestCensus:
@@ -221,27 +225,41 @@ class TestOutFile(object):
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
     def test_failing_stream_keeps_old_file(self, tmp_path, monkeypatch):
+        self.check_failing_stream(tmp_path, monkeypatch, "csv")
+
+    def test_failing_json_stream_keeps_old_file(self, tmp_path, monkeypatch):
+        self.check_failing_stream(tmp_path, monkeypatch, "json")
+
+    @staticmethod
+    def check_failing_stream(tmp_path, monkeypatch, fmt):
         # Rows 0..3 reach the temporary file before row 4 fails to divide.
-        target = tmp_path / "x.csv"
+        target = tmp_path / f"x.{fmt}"
         target.write_bytes(b"old\n")
         seeds = [list(seed) for seed in hultman._SIGNED_SEEDS]
         seeds[3][1] += 1
         monkeypatch.setattr(hultman, "_SIGNED_SEEDS", tuple(map(tuple, seeds)))
         with pytest.raises(ExactnessError):
-            main(["table", "--signed", "--n", "30", "--out", str(target)])
+            main(["table", "--signed", "--n", "30", "--format", fmt, "--out", str(target)])
         assert target.read_bytes() == b"old\n"
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_closed_pipe_is_quiet_success(self):
+        self.check_closed_pipe("csv", b"n,k,count\n")
+
+    def test_closed_pipe_json_is_quiet_success(self):
+        self.check_closed_pipe("json", b"{\n")
+
+    @staticmethod
+    def check_closed_pipe(fmt, first_line):
         # A reader that stops after one line, as `| head -1` does: the table
         # is far larger than a pipe buffer, so the writer meets the closed pipe.
         src = Path(cli.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "bghultman", "table", "--n", "200"],
+            [sys.executable, "-m", "bghultman", "table", "--n", "200", "--format", fmt],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
-        assert proc.stdout.readline() == b"n,k,count\n"
+        assert proc.stdout.readline() == first_line
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
@@ -312,3 +330,139 @@ class TestRecordedDigests:
         code, out, _ = run_cli(capsys, *command.split())
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
+
+
+# The JSON payloads as the CLI once built them whole, before one json.dumps:
+# the oracle for the streamed writer, which must match them byte for byte.
+def dumps(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def table_payload(n, signed, dense):
+    stream = enumerate((hultman.signed_rows if signed else hultman.unsigned_rows)(n))
+    cells = ((m, k, row.coefficient(k)) for m, row in stream for k in range(1, m + 2))
+    return {
+        "statistic": "signed_cycles" if signed else "unsigned_cycles",
+        "rows": [{"n": m, "k": k, "count": str(v)} for m, k, v in cells if v or dense],
+    }
+
+
+def moments_payload(max_n, signed):
+    keys = ("n", "mean", "variance", "mean_float", "variance_float")
+    rows = []
+    for n in range(1, max_n + 1):
+        pair = hultman.signed_moments(n) if signed else hultman.unsigned_moments(n)
+        exact = [f"{x.numerator}/{x.denominator}" for x in (pair.mean, pair.variance)]
+        hints = [f"{float(x):.15g}" for x in (pair.mean, pair.variance)]
+        rows.append(dict(zip(keys, (n, *exact, *hints))))
+    return {"statistic": "signed_cycles" if signed else "unsigned_cycles", "rows": rows}
+
+
+def distribution_payload(table):
+    return {
+        "n": table.n,
+        "statistic": table.statistic,
+        "counts": {str(k): str(v) for k, v in sorted(table.counts.items())},
+    }
+
+
+def compare_payload(result):
+    return {
+        "n": result.n,
+        "metric": result.metric,
+        "offset": result.offset,
+        "total_variation": str(result.total_variation),
+        "rows": [{"k": k, "distance": str(d), "shifted": str(s)} for k, d, s in result.rows],
+    }
+
+
+CENSUSES = {
+    "cycles": ([], census.hultman_census),
+    "signed": (["--signed"], census.signed_hultman_census),
+    "odd": (["--statistic", "odd"], census.odd_hultman_census),
+}
+DIST_METRICS = (
+    list(distances.FORMULA_METRICS) + list(distances.BOUND_METRICS) + list(distances.GENERATOR_SETS)
+)
+
+
+class TestJsonStream:
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_table(self, capsys, signed, dense):
+        flags = ["--signed"] * signed + ["--dense"] * dense
+        for n in range(13):
+            code, out, _ = run_cli(capsys, "table", "--n", str(n), *flags, "--format", "json")
+            assert (code, out) == (0, dumps(table_payload(n, signed, dense)))
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_moments(self, capsys, signed):
+        for max_n in range(1, 9):
+            argv = ["moments", "--max-n", str(max_n)] + ["--signed"] * signed
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert (code, out) == (0, dumps(moments_payload(max_n, signed)))
+
+    @pytest.mark.parametrize("statistic", list(CENSUSES))
+    def test_census(self, capsys, statistic):
+        flags, build = CENSUSES[statistic]
+        for n in range(7):
+            code, out, _ = run_cli(capsys, "census", "--n", str(n), *flags, "--format", "json")
+            assert (code, out) == (0, dumps(distribution_payload(build(n))))
+
+    @pytest.mark.parametrize("metric", DIST_METRICS)
+    def test_dist(self, capsys, metric):
+        for n in range(5):
+            code, out, _ = run_cli(capsys, "dist", "--metric", metric, "--n", str(n), "--format", "json")
+            table = distances.distance_distribution(n, metric)
+            assert (code, out) == (0, dumps(distribution_payload(table)))
+
+    @pytest.mark.parametrize("metric", sorted(distances.GENERATOR_SETS))
+    def test_compare(self, capsys, metric):
+        for n in range(5):
+            argv = ["compare", "--metric", metric, "--n", str(n), "--format", "json"]
+            code, out, _ = run_cli(capsys, *argv)
+            result = distances.compare_to_shifted(n, metric)
+            assert (code, out) == (0, dumps(compare_payload(result)))
+
+    def test_empty_containers(self, capsys, monkeypatch):
+        # No command yields an empty container today; json.dumps writes them as [] and {}.
+        monkeypatch.setattr(cli, "unsigned_rows", lambda n: iter(()))
+        monkeypatch.setattr(
+            census, "hultman_census", lambda n, force: census.DistributionTable(n, "cycles", {})
+        )
+        empty = distances.ComparisonResult(3, "reversal", 1, 0, ())
+        monkeypatch.setattr(distances, "compare_to_shifted", lambda n, metric, force: empty)
+        expected = {
+            "table --n 3": {"statistic": "unsigned_cycles", "rows": []},
+            "census --n 3": {"n": 3, "statistic": "cycles", "counts": {}},
+            "compare --metric reversal --n 3": compare_payload(empty),
+        }
+        for command, payload in expected.items():
+            code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
+            assert (code, out) == (0, dumps(payload))
+
+
+# Spawns one command from a small interpreter, so that the reported max RSS
+# is the command's own and not the test runner's, which a child inherits.
+_MAX_RSS = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen([sys.executable, '-m', 'bghultman', *sys.argv[1:]],"
+    " stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_json_peak_rss_matches_csv():
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    peak_kib = {}
+    for fmt in ("csv", "json"):
+        argv = ["table", "--signed", "--n", "200", "--format", fmt]
+        result = subprocess.run(
+            [sys.executable, "-c", _MAX_RSS, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code, peak_kib[fmt] = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+    assert peak_kib["json"] - peak_kib["csv"] <= 4 * 1024, peak_kib
