@@ -147,9 +147,6 @@ def iter_partner_tuples(m: int) -> Iterator[tuple[int, ...]]:
                 partner[lo] = -1
                 partner[w] = -1
 
-    if m == 0:
-        yield ()
-        return
     yield from rec(0)
 
 

@@ -8,10 +8,11 @@ lower bounds plus an exact brute-force oracle: breadth-first search over the
 whole group from the identity, for any of the supported generator sets.
 BFS levels double as exact distance distributions at desk scale.
 
-``GeneratorSet.moves`` is right multiplication t -> compose(t, g): the new
-state picks its entries, some negated, from fixed positions of the old one.
-The BFS walks by left multiplication s -> compose(g, s) instead, which
-relabels the values of s and leaves their positions alone; one
+Each generator set is built once per size as a tuple of signed image
+tuples.  ``GeneratorSet.moves`` is right multiplication t -> compose(t, g):
+the new state picks its entries, some negated, from fixed positions of the
+old one.  The BFS walks by left multiplication s -> compose(g, s) instead,
+which relabels the values of s and leaves their positions alone; one
 ``bytes.translate`` applies it to a state stored as bytes.  Both give the
 same distances: the products of k generators form the same set whether each
 word is built from the left or from the right, so the two balls of every
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import bpgraph
@@ -79,12 +79,13 @@ _CUT_GAPS: dict[str, tuple[int, ...]] = {
 
 
 @lru_cache(maxsize=None)
-def _move_getters(name: str, n: int) -> tuple[Callable[[Images], Images], ...]:
-    # One itemgetter per move over t + (-t): index p < n reads t[p], and
-    # n + p reads -t[p].  Signed sets negate what they reverse.
+def _generators(name: str, n: int) -> tuple[Images, ...]:
+    # Each move as a signed image tuple g: compose(t, g) takes its entries
+    # from t at the positions |g| lists, negated where g is negative.
+    # Signed sets negate what they reverse.
     gaps = _CUT_GAPS[name]
-    shift = n if "signed_" in name else 0
-    getters = []
+    sign = -1 if "signed_" in name else 1
+    generators = []
     for cuts in combinations_with_replacement(range(n + 1), len(gaps) + 1):
         if name.startswith("prefix_") and cuts[0]:
             continue
@@ -92,22 +93,17 @@ def _move_getters(name: str, n: int) -> tuple[Callable[[Images], Images], ...]:
             continue
         first, last = cuts[0], cuts[-1]
         blocks = zip(cuts, cuts[1:]) if len(cuts) > 2 else ((p, p + 1) for p in range(first, last))
-        moved = [p + shift for a, b in reversed(list(blocks)) for p in range(a, b)]
-        index = [*range(first), *moved, *range(last, n)]
-        # With one index an itemgetter returns the item, not a 1-tuple.
-        getters.append(itemgetter(*index) if n > 1 else itemgetter(slice(index[0], index[0] + 1)))
-    return tuple(getters)
+        moved = [sign * p for a, b in reversed(list(blocks)) for p in range(a + 1, b + 1)]
+        generators.append((*range(1, first + 1), *moved, *range(last + 1, n + 1)))
+    return tuple(generators)
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
     """A named move set generating S_n or its signed counterpart.
 
-    ``moves(t)`` is right multiplication: compose(t, g) for each generator g,
-    the identity's neighbours.  The BFS applies the same generators on the
-    left, compose(g, s), as value relabellings; a word of k generators
-    reaches the same set of products either way, so both give every state
-    the same distance from the identity.  Every set is closed under
+    ``moves(t)`` is compose(t, g) for each generator g, so the moves of the
+    identity are the generators themselves.  Every set is closed under
     inverses, so these are true left-invariant sorting distances.
     """
 
@@ -123,10 +119,10 @@ class GeneratorSet:
 
     def moves(self, t: Images) -> list[Images]:
         """Every state one move away from ``t``."""
-        getters = _move_getters(self.name, len(t))
-        if self.signed:
-            t = t + tuple([-x for x in t])
-        return [get(t) for get in getters]
+        return [
+            tuple([t[v - 1] if v > 0 else -t[-v - 1] for v in g])
+            for g in _generators(self.name, len(t))
+        ]
 
 
 GENERATOR_SETS: dict[str, GeneratorSet] = {name: GeneratorSet(name) for name in _CUT_GAPS}
@@ -206,15 +202,13 @@ def _resolve_generator(metric: str | GeneratorSet) -> GeneratorSet:
     return metric if isinstance(metric, GeneratorSet) else GeneratorSet(metric)
 
 
-@lru_cache(maxsize=None)
 def _value_tables(name: str, n: int) -> tuple[bytes, ...]:
     # One bytes.translate table per generator g, mapping the code of each
     # value v to that of g(v): v itself unsigned, v + n signed, where g(-v)
     # is -g(v).  Codes outside the group map to themselves.
-    gset = GENERATOR_SETS[name]
-    shift = n if gset.signed else 0
+    shift = n if "signed_" in name else 0
     tables = []
-    for g in gset.moves(tuple(range(1, n + 1))):
+    for g in _generators(name, n):
         table = bytearray(range(256))
         for v, image in enumerate(g, start=1):
             table[shift + v] = shift + image

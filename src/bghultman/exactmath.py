@@ -11,16 +11,19 @@ here); a rational combination is summed over a common denominator and
 divided exactly at the end.  Products of linear factors are built one
 factor at a time (``times_linear``), and a known linear factor is taken out
 again (``over_linear``) by ``exact_div``, whose long division by a monic
-divisor costs O(degree) steps when that divisor is linear.  No polynomial is cached: a consumer of many rows steps one product
-forward.  Only the harmonic sums are memoised, as their callers repeat an n.
+divisor costs O(degree) steps when that divisor is linear.  Nothing here
+is cached: a consumer of many rows steps one product forward, and every
+harmonic sum is an integer prefix sum over one denominator
+(``harmonic_numerators``), cheap enough to rebuild on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import comb
+from functools import reduce
+from itertools import accumulate
+from math import comb, lcm
 from typing import Iterable, Union
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "linear_product",
     "rising_factorial_poly",
     "shifted_falling_factorial_poly",
+    "harmonic_numerators",
     "harmonic",
     "harmonic_squares",
     "binomial",
@@ -188,26 +192,29 @@ def shifted_falling_factorial_poly(offset: int, length: int) -> Polynomial:
     return linear_product(offset - j for j in range(length))
 
 
-@lru_cache(maxsize=None)
+def harmonic_numerators(n: int, power: int = 1) -> tuple[int, list[int]]:
+    """The sums of 1/i^power over i <= j, for j = 0..n, on one denominator.
+
+    Returns (den, nums) with den = lcm(1..n)^power and nums[j] = den * that
+    sum: O(n) integer operations and no gcd, where summing Fractions takes
+    one gcd per term.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    den = lcm(*range(1, n + 1)) ** power
+    return den, list(accumulate((den // i**power for i in range(1, n + 1)), initial=0))
+
+
 def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n, exactly (H_0 = 0)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += Fraction(1, i)
-    return total
+    den, nums = harmonic_numerators(n)
+    return Fraction(nums[n], den)
 
 
-@lru_cache(maxsize=None)
 def harmonic_squares(n: int) -> Fraction:
     """Sum of 1/i^2 for i = 1..n, exactly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += Fraction(1, i * i)
-    return total
+    den, nums = harmonic_numerators(n, 2)
+    return Fraction(nums[n], den)
 
 
 def binomial(n: int, k: int) -> int:

@@ -35,15 +35,15 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import factorial, lcm
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .exactmath import (
     Polynomial,
     binomial,
     exact_div,
     harmonic,
+    harmonic_numerators,
     harmonic_squares,
     linear_product,
     rising_factorial_poly,
@@ -221,19 +221,18 @@ def c_lambda(lam: HookPartition) -> Fraction:
     return Fraction(num, den)
 
 
-def _hook_polys(shapes: Iterable[HookPartition]) -> Iterator[Polynomial]:
-    # F for each shape in turn.  A shape one step along the previous shape's
-    # row, (a+1, b) after (a, b), is F(a, b) * (x+2a) / (x+a+b-2-n): one
-    # multiply and one exact division, O(n) each.  Any other shape (the
-    # first of a row, the single-row shape) is a full product.
-    prev = poly = None
-    for lam in shapes:
-        if prev and (lam.n, lam.b, lam.a) == (prev.n, prev.b, prev.a + 1):
-            a, b, n = prev.a, prev.b, prev.n
-            poly = poly.times_linear(2 * a).over_linear(a + b - 2 - n)
+def _hook_polys(n: int) -> Iterator[Polynomial]:
+    # F for each shape of hook_partitions(n) in turn.  A shape (a, b) with
+    # a > b >= 1 follows (a-1, b) in its row, so it is that F times
+    # (x+2a-2) over (x+a+b-3-n): one multiply and one exact division, O(n)
+    # each.  Any other shape (the first of a row, the single-row shape) is a
+    # full product.
+    for lam in hook_partitions(n):
+        a, b = lam.a, lam.b
+        if a > b >= 1:
+            poly = poly.times_linear(2 * a - 2).over_linear(a + b - 3 - n)
         else:
             poly = f_lambda_poly(lam)
-        prev = lam
         yield poly
 
 
@@ -253,7 +252,7 @@ def signed_gf(n: int) -> Polynomial:
     weights = [c_lambda(lam) * f_lambda_deriv_at_zero(lam) for lam in shapes]
     den = lcm(*(w.denominator for w in weights))
     total = Polynomial.zero()
-    for poly, w in zip(_hook_polys(shapes), weights):
+    for poly, w in zip(_hook_polys(n), weights):
         total = total + poly * (w.numerator * (den // w.denominator))
     return Polynomial(tuple(exact_div(c, den) for c in total.coeffs))
 
@@ -360,10 +359,11 @@ def unsigned_variance(n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     sign = 1 if n % 2 == 0 else -1
     d = (n + 1) * (n + 2)
+    h = harmonic(n + 2)
     return (
-        harmonic(n + 2)
+        h
         - harmonic_squares(n + 2)
-        + Fraction(sign, d) * (2 * harmonic(n + 2) + 2 * harmonic(n) - 3)
+        + Fraction(sign, d) * (2 * h + 2 * harmonic(n) - 3)
         - Fraction(1, d * d)
     )
 
@@ -456,13 +456,14 @@ def signed_moments(n: int) -> MomentPair:
     The mean is H_{2n+1} - H_n/2 - r_sum(n).  The variance weights r_n(a, b)
     by 2H_{2n+1} - H_n - 1 + 2H_{n-a-b+1} - 2H_{2a-1} + H_{a-1} - H_{b-1}.
     Every harmonic number here, the mean's included, is taken from
-    hnum[j] = den * H_j with den = lcm(1..2n+1): each group's weighted sum is
-    one integer, and the walk ends in one division by den.
+    hnum[j] = den * H_j with den = lcm(1..2n+1) (harmonic_numerators): each
+    group's weighted sum is one integer, and the walk ends in one division
+    by den.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    den = lcm(*range(1, 2 * n + 2))
-    hnum = list(accumulate((den // j for j in range(1, 2 * n + 2)), initial=0))
+    den, hnum = harmonic_numerators(2 * n + 1)
+    den_sq, sq = harmonic_numerators(2 * n + 1, 2)
     const = 2 * hnum[2 * n + 1] - hnum[n] - den
     rsum = weighted = Fraction(0)
     for k, scale, terms in _r_groups(n):
@@ -474,7 +475,7 @@ def signed_moments(n: int) -> MomentPair:
         rsum += scale * inner
         weighted += scale * group
     base = Fraction(2 * hnum[2 * n + 1] - hnum[n], 2 * den)  # H_{2n+1} - H_n/2
-    odd_sq = harmonic_squares(2 * n + 1) - harmonic_squares(n) / 4  # sum of 1/(2k+1)^2, k <= n
+    odd_sq = Fraction(4 * sq[2 * n + 1] - sq[n], 4 * den_sq)  # sum of 1/(2k+1)^2, k <= n
     return MomentPair(base - rsum, base - odd_sq - rsum * rsum + weighted / den)
 
 

@@ -169,9 +169,6 @@ def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, 
     _check_n(n)
     if first is not None and not 1 <= abs(first) <= n:
         raise PermutationError(f"first image {first} outside range for n={n}")
-    if n == 0:
-        yield ()
-        return
     values = list(range(-n, 0)) + list(range(1, n + 1))
     used = [False] * (n + 1)
     acc = [0] * n

@@ -175,6 +175,7 @@ class TestMatchings:
         assert len(list(bg.enumerate_matchings(2))) == 3
         for m in range(1, 6):
             assert len(list(bg.enumerate_matchings(m))) == double_factorial_odd(m)
+        assert list(bg.iter_partner_tuples(0)) == [()]
 
     def test_deterministic_order(self):
         assert list(bg.enumerate_matchings(3)) == list(bg.enumerate_matchings(3))

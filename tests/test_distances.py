@@ -325,10 +325,12 @@ class TestBFS:
                         expected = compose(SignedPermutation(g), SignedPermutation(t)).images
                         assert moved == expected, (name, g, t)
 
-    def test_encoding_limit(self):
+    def test_encoding_limit(self, monkeypatch):
         # States are bytes: forced sizes past the codes fail at once, before
         # any table is built, and the guard still speaks first.
-        built = D._value_tables.cache_info().misses
+        built = []
+        build = D._value_tables
+        monkeypatch.setattr(D, "_value_tables", lambda *args: built.append(args) or build(*args))
         for name, limit in (("transposition", 256), ("prefix_signed_reversal", 128)):
             with pytest.raises(ValueError, match=f"{name} BFS .* below {limit}, got {limit}"):
                 bfs_level_sizes(limit, name, force=True)
@@ -336,7 +338,7 @@ class TestBFS:
                 bfs_distances(limit + 50, name, force=True)
             with pytest.raises(GuardError):
                 bfs_distances(limit, name)
-        assert D._value_tables.cache_info().misses == built
+        assert built == []
 
 
 class TestDomination:

@@ -111,6 +111,18 @@ class TestScalars:
         assert harmonic_squares(2) == Fraction(5, 4)
         assert harmonic_squares(0) == 0
 
+    def test_harmonic_matches_term_sums(self):
+        # The per-term Fraction sums are the oracle of the prefix sums.
+        h = h2 = Fraction(0)
+        for n in range(301):
+            if n:
+                h += Fraction(1, n)
+                h2 += Fraction(1, n * n)
+            assert harmonic(n) == h and harmonic_squares(n) == h2, n
+        for f in (harmonic, harmonic_squares):
+            with pytest.raises(ValueError):
+                f(-1)
+
     def test_binomial(self):
         assert binomial(5, 2) == 10
         assert binomial(5, -1) == 0

@@ -153,3 +153,24 @@ def test_no_private_reach_ins():
             ):
                 reach_ins.add(f"{path.stem} -> {node.value.id}.{node.attr}")
     assert reach_ins == ALLOWED_REACH_INS
+
+
+# Every lru_cache in the library, with the caller that repeats its argument.
+CACHED = {
+    "bpgraph.grey_matching",  # cycle_lengths_images, once per permutation verify checks
+    "hultman._falling_sum_poly",  # hultman_new_formula, once per k of a row
+    "distances._generators",  # GeneratorSet.moves, once per state of a tuple BFS
+}
+
+
+def test_caches_are_allowlisted():
+    cached = set()
+    for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    f = dec.func if isinstance(dec, ast.Call) else dec
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in ("lru_cache", "cache"):
+                        cached.add(f"{path.stem}.{node.name}")
+    assert cached == CACHED
