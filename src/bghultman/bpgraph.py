@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .perm import SignedPermutation, check_size, validate
+from .perm import SignedPermutation, validate
 
 __all__ = [
     "InvalidConfigurationError",
@@ -39,7 +39,6 @@ __all__ = [
     "identity_matching",
     "mu_relabeling",
     "conjugate_matching",
-    "enumerate_matchings",
     "iter_partner_tuples",
     "union_cycle_lengths",
     "union_cycle_count",
@@ -49,10 +48,7 @@ __all__ = [
     "recover_permutation",
     "cycle_count_images",
     "cycle_lengths_images",
-    "MATCHING_ENUMERATION_GUARD",
 ]
-
-MATCHING_ENUMERATION_GUARD = 8
 
 
 class InvalidConfigurationError(ValueError):
@@ -123,7 +119,7 @@ def conjugate_matching(phi: Sequence[int], relabel: Sequence[int]) -> tuple[int,
 
 
 def iter_partner_tuples(m: int) -> Iterator[tuple[int, ...]]:
-    """Raw stream of partner tuples for all perfect matchings of 0..2m-1.
+    """All (2m-1)!! perfect matchings of 0..2m-1, as partner tuples.
 
     Deterministic order: the smallest unmatched vertex is paired first, with
     its partner chosen in ascending order.
@@ -148,14 +144,6 @@ def iter_partner_tuples(m: int) -> Iterator[tuple[int, ...]]:
                 partner[w] = -1
 
     yield from rec(0)
-
-
-def enumerate_matchings(m: int, force: bool = False) -> Iterator[tuple[int, ...]]:
-    """All (2m-1)!! perfect matchings of {0..2m-1}."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    check_size(m, MATCHING_ENUMERATION_GUARD, force, "matching enumeration")
-    return iter_partner_tuples(m)
 
 
 def _union_lengths(pa: Sequence[int], pb: Sequence[int]) -> list[int]:

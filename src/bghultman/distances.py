@@ -8,15 +8,16 @@ lower bounds plus an exact brute-force oracle: breadth-first search over the
 whole group from the identity, for any of the supported generator sets.
 BFS levels double as exact distance distributions at desk scale.
 
-Each generator set is built once per size as a tuple of signed image
-tuples.  ``GeneratorSet.moves`` is right multiplication t -> compose(t, g):
-the new state picks its entries, some negated, from fixed positions of the
-old one.  The BFS walks by left multiplication s -> compose(g, s) instead,
-which relabels the values of s and leaves their positions alone; one
-``bytes.translate`` applies it to a state stored as bytes.  Both give the
-same distances: the products of k generators form the same set whether each
-word is built from the left or from the right, so the two balls of every
-radius around the identity agree.
+The BFS functions take a generator set by name.  Each set is built once
+per size as a tuple of signed image tuples.  ``GeneratorSet.moves`` is right
+multiplication t -> compose(t, g): the new state picks its entries, some
+negated, from fixed positions of the old one.  The BFS walks by left
+multiplication s -> compose(g, s) instead, which relabels the values of s
+and leaves their positions alone.  A BFS state stores each value v, signed
+or not, as the byte v + n, and one ``bytes.translate`` applies a move.  Both
+multiplications give the same distances: the products of k generators form
+the same set whether each word is built from the left or from the right, so
+the two balls of every radius around the identity agree.
 
 Each cycle-based metric is one row of ``_METRICS``: its group (signed or
 unsigned), the census weight whose per-cycle sum it reads, and its formula
@@ -84,7 +85,7 @@ def _generators(name: str, n: int) -> tuple[Images, ...]:
     # from t at the positions |g| lists, negated where g is negative.
     # Signed sets negate what they reverse.
     gaps = _CUT_GAPS[name]
-    sign = -1 if "signed_" in name else 1
+    sign = -1 if GENERATOR_SETS[name].signed else 1
     generators = []
     for cuts in combinations_with_replacement(range(n + 1), len(gaps) + 1):
         if name.startswith("prefix_") and cuts[0]:
@@ -197,40 +198,29 @@ def psrd_lower(pi: SignedPermutation) -> int:
     return _metric_value(pi.images, "psrd_lower")
 
 
-def _resolve_generator(metric: str | GeneratorSet) -> GeneratorSet:
-    # An unknown name raises ValueError in GeneratorSet.
-    return metric if isinstance(metric, GeneratorSet) else GeneratorSet(metric)
-
-
 def _value_tables(name: str, n: int) -> tuple[bytes, ...]:
-    # One bytes.translate table per generator g, mapping the code of each
-    # value v to that of g(v): v itself unsigned, v + n signed, where g(-v)
-    # is -g(v).  Codes outside the group map to themselves.
-    shift = n if "signed_" in name else 0
+    # One bytes.translate table per generator g, mapping the code v + n of
+    # each value v to g(v) + n, where g(-v) is -g(v); an unsigned state never
+    # holds a code below n + 1.  Codes outside the group map to themselves.
     tables = []
     for g in _generators(name, n):
         table = bytearray(range(256))
         for v, image in enumerate(g, start=1):
-            table[shift + v] = shift + image
-            if shift:
-                table[shift - v] = shift - image
+            table[n + v] = n + image
+            table[n - v] = n - image
         tables.append(bytes(table))
     return tuple(tables)
 
 
-def _bfs_levels(n: int, gset: GeneratorSet, force: bool) -> Iterator[list[bytes]]:
+def _bfs_levels(n: int, name: str, force: bool) -> Iterator[list[bytes]]:
     # The BFS frontiers from the identity, level by level, as byte codes
     # (see _value_tables); each move is one translate by a generator's table.
-    guard = BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD
-    check_size(n, guard, force, f"{gset.name} BFS")
-    limit = 128 if gset.signed else 256
-    if n >= limit:
-        raise ValueError(
-            f"{gset.name} BFS stores states as bytes, so n must be below {limit}, got {n}"
-        )
-    shift = n if gset.signed else 0
-    tables = _value_tables(gset.name, n)
-    frontier = [bytes(range(shift + 1, shift + n + 1))]
+    gset = GeneratorSet(name)
+    check_size(n, BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD, force, f"{name} BFS")
+    if n >= 128:
+        raise ValueError(f"{name} BFS stores states as bytes, so n must be below 128, got {n}")
+    tables = _value_tables(name, n)
+    frontier = [bytes(range(n + 1, 2 * n + 1))]
     seen = set(frontier)
     while frontier:
         yield frontier
@@ -243,24 +233,17 @@ def _bfs_levels(n: int, gset: GeneratorSet, force: bool) -> Iterator[list[bytes]
         frontier = nxt
 
 
-def bfs_distances(
-    n: int, generator_set: str | GeneratorSet, force: bool = False
-) -> dict[Images, int]:
+def bfs_distances(n: int, generator_set: str, force: bool = False) -> dict[Images, int]:
     """Exact sorting distance of every group element, by BFS from identity."""
-    gset = _resolve_generator(generator_set)
-    shift = n if gset.signed else 0
     return {
-        tuple([code - shift for code in state]): d
-        for d, level in enumerate(_bfs_levels(n, gset, force))
+        tuple([code - n for code in state]): d
+        for d, level in enumerate(_bfs_levels(n, generator_set, force))
         for state in level
     }
 
 
-def bfs_level_sizes(
-    n: int, generator_set: str | GeneratorSet, force: bool = False
-) -> dict[int, int]:
-    gset = _resolve_generator(generator_set)
-    return {d: len(level) for d, level in enumerate(_bfs_levels(n, gset, force))}
+def bfs_level_sizes(n: int, generator_set: str, force: bool = False) -> dict[int, int]:
+    return {d: len(level) for d, level in enumerate(_bfs_levels(n, generator_set, force))}
 
 
 def bound_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:
@@ -312,21 +295,19 @@ def _closed_form_counts(n: int, metric: str) -> dict[int, int]:
     return {value(n, c): v for c, v in enumerate(_cycle_row(n, signed).coeffs) if v}
 
 
-def compare_to_shifted(
-    n: int, metric: str | GeneratorSet, force: bool = False
-) -> ComparisonResult:
+def compare_to_shifted(n: int, metric: str, force: bool = False) -> ComparisonResult:
     """Fit a shifted cycle-count table to a BFS distance distribution.
 
     The offset minimises the total variation between the two series (both
     carry the full group mass, so no normalisation is needed); ties break
     toward the smaller offset.
     """
-    gset = _resolve_generator(metric)
-    dist = bfs_level_sizes(n, gset, force)
+    dist = bfs_level_sizes(n, metric, force)
     # Offset m shifts the cycle-count index, and so the distance, by m/step;
     # the unsigned table has no mass at an odd offset.
-    step = 1 if gset.signed else 2
-    table = _closed_form_counts(n, "dcj" if gset.signed else "bid")
+    signed = GENERATOR_SETS[metric].signed
+    step = 1 if signed else 2
+    table = _closed_form_counts(n, "dcj" if signed else "bid")
 
     def shifted_counts(m: int) -> dict[int, int]:
         return {} if m % step else {k + m // step: v for k, v in table.items()}
@@ -340,4 +321,4 @@ def compare_to_shifted(
     shifted = shifted_counts(best_m)
     keys = sorted(set(dist) | set(shifted))
     rows = tuple((k, dist.get(k, 0), shifted.get(k, 0)) for k in keys)
-    return ComparisonResult(n, gset.name, best_m, sum(abs(d - s) for _, d, s in rows), rows)
+    return ComparisonResult(n, metric, best_m, sum(abs(d - s) for _, d, s in rows), rows)

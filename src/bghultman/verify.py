@@ -147,7 +147,7 @@ def lemmas(max_n: int) -> Checks:
             and all(
                 bpgraph.union_cycle_count(grey, tau)
                 == bpgraph.union_cycle_count(eps, bpgraph.conjugate_matching(tau, mu))
-                for tau in bpgraph.enumerate_matchings(m)
+                for tau in bpgraph.iter_partner_tuples(m)
             )
         )
         yield f"lemmas.relabel_m{m}", ok, "conjugation preserves union cycle counts"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bghultman import bpgraph as bg
 from bghultman.hultman import HookPartition, hook_partitions
 from bghultman.perm import (
-    GuardError,
     SignedPermutation,
     enumerate_signed,
     first_values,
@@ -161,7 +160,7 @@ class TestRecovery:
         for n in range(4):
             recovered = set()
             valid = 0
-            for tau in bg.enumerate_matchings(n + 1):
+            for tau in bg.iter_partner_tuples(n + 1):
                 config = bg.Configuration(n, tau)
                 if bg.is_valid_breakpoint_graph(config):
                     valid += 1
@@ -172,19 +171,13 @@ class TestRecovery:
 
 class TestMatchings:
     def test_counts(self):
-        assert len(list(bg.enumerate_matchings(2))) == 3
+        assert len(list(bg.iter_partner_tuples(2))) == 3
         for m in range(1, 6):
-            assert len(list(bg.enumerate_matchings(m))) == double_factorial_odd(m)
+            assert len(list(bg.iter_partner_tuples(m))) == double_factorial_odd(m)
         assert list(bg.iter_partner_tuples(0)) == [()]
 
     def test_deterministic_order(self):
-        assert list(bg.enumerate_matchings(3)) == list(bg.enumerate_matchings(3))
-
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            list(bg.enumerate_matchings(9))
-        with pytest.raises(ValueError):
-            list(bg.enumerate_matchings(0))
+        assert list(bg.iter_partner_tuples(3)) == list(bg.iter_partner_tuples(3))
 
     def test_matching_from_pairs_validation(self):
         with pytest.raises(ValueError):
@@ -210,7 +203,7 @@ class TestRelabeling:
     def test_conjugation_preserves_union_cycles(self):
         for m in range(1, 4):
             mu = bg.mu_relabeling(m)
-            matchings = list(bg.enumerate_matchings(m))
+            matchings = list(bg.iter_partner_tuples(m))
             for phi1 in matchings:
                 for phi2 in matchings:
                     direct = bg.union_cycle_lengths(phi1, phi2)

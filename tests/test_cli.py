@@ -159,18 +159,18 @@ class TestDist:
         assert sum(int(v) for _, v in rows) == 48
 
     @pytest.mark.parametrize(
-        "argv, name, limit",
+        "argv, name, n",
         [
             ("dist --metric transposition --n 256", "transposition", 256),
+            ("dist --metric transposition --n 200", "transposition", 200),
             ("compare --metric signed_reversal --n 128", "signed_reversal", 128),
         ],
     )
-    def test_bfs_encoding_limit_is_one_line(self, capsys, argv, name, limit):
+    def test_bfs_encoding_limit_is_one_line(self, capsys, argv, name, n):
+        # One limit for both groups: every state is the bytes v + n.
         code, out, err = run_cli(capsys, *argv.split(), "--force")
         assert (code, out) == (2, "")
-        assert err == (
-            f"error: {name} BFS stores states as bytes, so n must be below {limit}, got {limit}\n"
-        )
+        assert err == f"error: {name} BFS stores states as bytes, so n must be below 128, got {n}\n"
 
 
 class TestCompare:

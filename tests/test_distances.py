@@ -309,35 +309,35 @@ class TestBFS:
                 assert bfs_level_sizes(n, name) == Counter(dist.values()), (name, n)
 
     def test_value_tables_are_left_multiplications(self):
-        # Each table relabels the values of an encoded t (v, or v + n when
-        # signed) as its generator g does, which is g composed after t.
+        # Each table relabels the values of an encoded t (each v as v + n) as
+        # its generator g does, which is g composed after t.
         for name, gset in GENERATOR_SETS.items():
             stream = iter_images_signed if gset.signed else iter_images_unsigned
             for n in range(0, 5):
-                shift = n if gset.signed else 0
                 generators = gset.moves(identity(n).images)
                 tables = D._value_tables(name, n)
                 assert len(tables) == len(generators)
                 for t in stream(n):
-                    code = bytes([shift + v for v in t])
+                    code = bytes([n + v for v in t])
                     for g, table in zip(generators, tables):
-                        moved = tuple([c - shift for c in code.translate(table)])
+                        moved = tuple([c - n for c in code.translate(table)])
                         expected = compose(SignedPermutation(g), SignedPermutation(t)).images
                         assert moved == expected, (name, g, t)
 
     def test_encoding_limit(self, monkeypatch):
-        # States are bytes: forced sizes past the codes fail at once, before
-        # any table is built, and the guard still speaks first.
+        # States are bytes v + n in both groups: forced sizes from 128 on
+        # fail at once, before any table is built, and the guard still speaks
+        # first.
         built = []
         build = D._value_tables
         monkeypatch.setattr(D, "_value_tables", lambda *args: built.append(args) or build(*args))
-        for name, limit in (("transposition", 256), ("prefix_signed_reversal", 128)):
-            with pytest.raises(ValueError, match=f"{name} BFS .* below {limit}, got {limit}"):
-                bfs_level_sizes(limit, name, force=True)
-            with pytest.raises(ValueError, match=f"below {limit}"):
-                bfs_distances(limit + 50, name, force=True)
+        for name in ("transposition", "prefix_signed_reversal"):
+            with pytest.raises(ValueError, match=f"{name} BFS .* below 128, got 128"):
+                bfs_level_sizes(128, name, force=True)
+            with pytest.raises(ValueError, match="below 128"):
+                bfs_distances(178, name, force=True)
             with pytest.raises(GuardError):
-                bfs_distances(limit, name)
+                bfs_distances(128, name)
         assert built == []
 
 

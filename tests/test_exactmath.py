@@ -99,7 +99,7 @@ class TestStirling:
         for n in range(21):
             assert sum(rising_factorial_poly(n).coeffs) == factorial(n)
 
-    def test_cold_cache_deep_row(self):
+    def test_deep_row_without_recursion(self):
         # A deep row must build without hitting the recursion limit.
         assert rising_factorial_poly(1100).coefficient(1) == factorial(1099)
 

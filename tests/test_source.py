@@ -159,7 +159,9 @@ def test_no_private_reach_ins():
 CACHED = {
     "bpgraph.grey_matching",  # cycle_lengths_images, once per permutation verify checks
     "hultman._falling_sum_poly",  # hultman_new_formula, once per k of a row
-    "distances._generators",  # GeneratorSet.moves, once per state of a tuple BFS
+    # GeneratorSet.moves, once per state of the tests' _tuple_bfs and of
+    # perfbench's move timing; _value_tables, once per BFS run.
+    "distances._generators",
 }
 
 
