@@ -15,7 +15,6 @@ See the ``hultman`` console script for the command-line interface.
 
 from .bpgraph import (
     Configuration,
-    CycleProfile,
     breakpoint_graph,
     cycle_profile,
     is_valid_breakpoint_graph,

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perm import SignedPermutation, validate
 
 __all__ = [
     "InvalidConfigurationError",
     "Configuration",
-    "CycleProfile",
+    "CYCLE_WEIGHTS",
     "matching_from_pairs",
     "grey_matching",
     "grey_complement_matching",
@@ -48,6 +48,7 @@ __all__ = [
     "recover_permutation",
     "cycle_count_images",
     "cycle_lengths_images",
+    "weighted_cycle_sum",
 ]
 
 
@@ -176,7 +177,9 @@ def union_cycle_lengths(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def union_cycle_count(a: Sequence[int], b: Sequence[int]) -> int:
-    return len(union_cycle_lengths(a, b))
+    if len(a) != len(b):
+        raise ValueError("matchings live on different vertex sets")
+    return len(_union_lengths(a, b))
 
 
 @dataclass(frozen=True)
@@ -197,33 +200,14 @@ class Configuration:
             raise ValueError(f"black {black} is not a perfect matching of 0..{size - 1}")
 
 
-@dataclass(frozen=True)
-class CycleProfile:
-    """Multiset of alternating-cycle lengths of a configuration."""
-
-    lengths: tuple[int, ...]
-
-    @property
-    def c(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def c_odd(self) -> int:
-        return sum(1 for length in self.lengths if length % 2 == 1)
-
-    @property
-    def c_1(self) -> int:
-        return sum(1 for length in self.lengths if length == 1)
-
-
 def breakpoint_graph(pi: SignedPermutation) -> Configuration:
     """Breakpoint graph of pi: black edges join doubled positions (2i, 2i+1)."""
     return Configuration(pi.n, tuple(_black_partner(pi.images)))
 
 
-def cycle_profile(config: Configuration) -> CycleProfile:
-    """Alternating-cycle lengths of black union grey; exposes c, c_odd, c_1."""
-    return CycleProfile(union_cycle_lengths(config.black, grey_matching(config.n)))
+def cycle_profile(config: Configuration) -> tuple[int, ...]:
+    """Sorted alternating-cycle lengths of black union grey."""
+    return union_cycle_lengths(config.black, grey_matching(config.n))
 
 
 def is_valid_breakpoint_graph(config: Configuration) -> bool:
@@ -289,3 +273,32 @@ def cycle_lengths_images(images: Sequence[int]) -> list[int]:
     per call.
     """
     return _union_lengths(_black_partner(images), grey_matching(len(images)))
+
+
+class CycleWeight(NamedTuple):
+    one: int  # weight of a cycle of length 1 that avoids vertex 0
+    odd: int  # of any other cycle of odd length
+    even: int  # of a cycle of even length
+
+
+# A cycle statistic sums one row over the cycles.  The cycle through vertex 0
+# is weighted by its parity; it has length 1 exactly when the first image is
+# +1 (black edge 0-1, grey edge 1-0), so "c_minus_2c_1" sums to
+# c - 2*c_1 + 2*[first == 1] and the prefix bounds' [first != 1] comes free.
+CYCLE_WEIGHTS: dict[str, CycleWeight] = {
+    "c": CycleWeight(1, 1, 1),
+    "c_odd": CycleWeight(1, 1, 0),
+    "c_minus_2c_1": CycleWeight(-1, 1, 1),
+}
+
+
+def weighted_cycle_sum(images: Sequence[int], weight: str) -> int:
+    """Sum of the ``CYCLE_WEIGHTS[weight]`` row over the breakpoint-graph cycles."""
+    if weight not in CYCLE_WEIGHTS:
+        raise ValueError(f"unknown cycle weight {weight!r}")
+    one, odd, even = CYCLE_WEIGHTS[weight]
+    # The walk starts at vertex 0, so lengths[0] is the vertex-0 cycle.
+    return sum(
+        one if length == 1 and i else odd if length % 2 else even
+        for i, length in enumerate(cycle_lengths_images(images))
+    )

@@ -9,11 +9,11 @@ vertex and the path partner of every such vertex; a cycle is counted when the
 black edge that closes it is placed.  The states number exponentially, not
 factorially, in n.
 
-A statistic is a sum of per-cycle weights (see WEIGHTS): the cycle count,
-the odd-cycle count, or the weight behind the prefix bounds in the
-distances module.  Each state carries its counts by weighted sum as one
-packed integer, so closing a cycle is a shift, and prefixes that reach the
-same state add their counts.  One DP run covers the whole group.  The
+A statistic is a sum of per-cycle weights, one row of bpgraph.CYCLE_WEIGHTS:
+the cycle count, the odd-cycle count, or the weight behind the prefix bounds
+in the distances module.  Each state carries its counts by weighted sum as
+one packed integer, so closing a cycle is a shift, and prefixes that reach
+the same state add their counts.  One DP run covers the whole group.  The
 matching census walks perfect matchings instead.
 """
 
@@ -63,14 +63,6 @@ class DistributionTable:
         return sum(self.counts.values())
 
 
-# Per-cycle weights of the DP.  "c" counts every cycle and "c_odd" the cycles
-# of odd length.  "c_minus_2c_1" counts +1 per cycle and -1 per cycle of
-# length 1, except that the cycle through vertex 0 always counts +1.  That
-# cycle has length 1 exactly when the first image is +1 (black edge 0-1, grey
-# edge 1-0), so the weighted sum is c - 2*c_1 + 2*[first == 1], and the
-# [first != 1] term of the prefix bounds needs no first image in the state.
-WEIGHTS = ("c", "c_odd", "c_minus_2c_1")
-
 _DONE = 255  # state byte of a vertex that has its black edge
 
 
@@ -78,38 +70,38 @@ def _weighted_census(n: int, signed: bool, weight: str) -> dict[int, int]:
     """Counts by weighted cycle sum over the whole group.
 
     State bytes 0..2n+1 hold 2 * path partner + path parity (the parity of
-    the path's black-edge count, kept only for "c_odd"), or _DONE; byte
-    2n+2 is the exit vertex.  A state's counts are packed into one int,
-    ``bits`` bits per weighted sum; no field can exceed the group order, so
-    no field overflows.
+    the path's black-edge count, kept only when the row weighs odd and even
+    cycles apart), or _DONE; byte 2n+2 is the exit vertex.  A state's
+    counts are packed into one int, ``bits`` bits per weighted sum; no field
+    can exceed the group order, so no field overflows.
     """
-    if weight not in WEIGHTS:
+    if weight not in bpgraph.CYCLE_WEIGHTS:
         raise ValueError(f"unknown cycle weight {weight!r}")
     if 2 * (2 * n + 1) + 1 >= _DONE:
         raise ValueError(f"the census state encoding supports n <= 62, got {n}")
+    row = bpgraph.CYCLE_WEIGHTS[weight]
     order = factorial(n) << n if signed else factorial(n)
     bits = order.bit_length() + 1
-    parity = 1 if weight == "c_odd" else 0
-    # The "c_minus_2c_1" sum is never below -(n + 1); an offset keeps every
-    # shift >= 0.
-    offset = n + 1 if weight == "c_minus_2c_1" else 0
+    parity = int(row.odd != row.even)
+    # At most n + 1 cycles close, so every partial sum lies in [low, high].
+    low, high = (n + 1) * min(0, *row), (n + 1) * max(0, *row)
+    # A closed cycle's shift: [0] after an even path (an odd cycle), [1] after
+    # an odd path (an even cycle), [2] for a length-1 cycle off vertex 0.
+    shifts = (row.odd * bits, row.even * bits, row.one * bits)
 
     def close(counts: int, path_parity: int, exit_: int, entry: int) -> int:
         # Count the cycle closed by the black edge exit_-entry.  It has
         # length 1 if entry is the grey partner of exit_; vertex 0 is exit_
         # only at the first edge, and at the last one when n = 0.
-        if weight == "c_odd":
-            return counts if path_parity else counts << bits
-        if weight == "c_minus_2c_1" and entry == exit_ ^ 1 and exit_:
-            return counts >> bits
-        return counts << bits
+        shift = shifts[2 if entry == exit_ ^ 1 and exit_ else path_parity]
+        return counts << shift if shift >= 0 else counts >> -shift
 
     # Entry and exit vertex of each image: +v enters 2v-1, -v enters 2v.
     pairs = [(2 * v - 1, 2 * v) for v in range(1, n + 1)]
     if signed:
         pairs += [(2 * v, 2 * v - 1) for v in range(1, n + 1)]
     # With no black edge yet, each path is one grey edge; the exit is 0.
-    level = {bytes([2 * (u ^ 1) for u in range(2 * n + 2)] + [0]): 1 << (offset * bits)}
+    level = {bytes([2 * (u ^ 1) for u in range(2 * n + 2)] + [0]): 1 << (-low * bits)}
     for _ in range(n):
         nxt: dict[bytes, int] = {}
         while level:
@@ -142,8 +134,8 @@ def _weighted_census(n: int, signed: bool, weight: str) -> dict[int, int]:
     )
     mask = (1 << bits) - 1
     table = {}
-    for j in range(-offset, n + 2):
-        count = (total >> ((j + offset) * bits)) & mask
+    for j in range(low, high + 1):
+        count = (total >> ((j - low) * bits)) & mask
         if count:
             table[j] = count
     return table
@@ -181,8 +173,9 @@ def signed_hultman_census(n: int, force: bool = False) -> DistributionTable:
 def odd_hultman_census(n: int, force: bool = False) -> DistributionTable:
     """Counts of odd-length breakpoint-graph cycles over S_n.
 
-    No closed form is known for these numbers; the census is the only
-    implementation by design, not a placeholder.
+    These counts are sums of generalized Hultman numbers, the counts by
+    cycle type (Alexeev, Pologova & Alekseyev, J. Comput. Biol. 2017); the
+    library has only the census route for them for now.
     """
     return _run_census(n, False, "c_odd", "unsigned_odd_cycles", force)
 

@@ -20,9 +20,9 @@ the same set whether each word is built from the left or from the right, so
 the two balls of every radius around the identity agree.
 
 Each cycle-based metric is one row of ``_METRICS``: its group (signed or
-unsigned), the census weight whose per-cycle sum it reads, and its formula
-in n and that sum.  The per-permutation functions, the census tallies and
-the closed-form tables all read that row.
+unsigned), the ``bpgraph.CYCLE_WEIGHTS`` row whose per-cycle sum it reads,
+and its formula in n and that sum.  The per-permutation functions, the
+census tallies and the closed-form tables all read that row.
 """
 
 from __future__ import annotations
@@ -134,13 +134,13 @@ BOUND_METRICS = ("srd_lower", "td_lower", "ptd_lower", "psrd_lower")
 
 class _Metric(NamedTuple):
     signed: bool  # the group the metric is defined on
-    weight: str  # the per-cycle weight (see census.WEIGHTS) whose sum it reads
+    weight: str  # the bpgraph.CYCLE_WEIGHTS row whose per-cycle sum it reads
     value: Callable[[int, int], int]  # (n, weighted sum) -> metric value
 
 
 # One row per cycle-based metric.  The "c_minus_2c_1" sum is
-# c - 2*c_1 + 2*[first == 1] (census.WEIGHTS), which turns the prefix
-# bounds' [first != 1] term into a constant.
+# c - 2*c_1 + 2*[first == 1] (bpgraph.CYCLE_WEIGHTS), which turns the
+# prefix bounds' [first != 1] term into a constant.
 _METRICS: dict[str, _Metric] = {
     "bid": _Metric(False, "c", lambda n, c: exact_div(n + 1 - c, 2)),
     "dcj": _Metric(True, "c", lambda n, c: n + 1 - c),
@@ -157,15 +157,7 @@ def _metric_value(images: Sequence[int], metric: str) -> int:
     signed, weight, value = _METRICS[metric]
     if not signed and min(images, default=1) < 0:
         raise PermutationError(f"{metric} requires an unsigned permutation")
-    profile = bpgraph.CycleProfile(tuple(sorted(bpgraph.cycle_lengths_images(images))))
-    # The cycle through vertex 0 has length 1 iff the first image is 1, or n = 0.
-    zero_singleton = not images or images[0] == 1
-    weights = {
-        "c": profile.c,
-        "c_odd": profile.c_odd,
-        "c_minus_2c_1": profile.c - 2 * profile.c_1 + 2 * zero_singleton,
-    }
-    return value(len(images), weights[weight])
+    return value(len(images), bpgraph.weighted_cycle_sum(images, weight))
 
 
 def bid(pi: SignedPermutation) -> int:

@@ -59,33 +59,28 @@ class TestDoubling:
 class TestBreakpointGraph:
     def test_identity_profile(self):
         for n in range(6):
-            profile = bg.cycle_profile(bg.breakpoint_graph(identity(n)))
-            assert profile.lengths == (1,) * (n + 1)
-            assert profile.c == profile.c_odd == profile.c_1 == n + 1
+            assert bg.cycle_profile(bg.breakpoint_graph(identity(n))) == (1,) * (n + 1)
 
     def test_fig2_has_two_cycles(self):
-        assert bg.cycle_profile(bg.breakpoint_graph(FIG2_PERM)).c == 2
+        assert len(bg.cycle_profile(bg.breakpoint_graph(FIG2_PERM))) == 2
 
     def test_swap_is_one_three_cycle(self):
-        profile = bg.cycle_profile(bg.breakpoint_graph(validate([2, 1])))
-        assert profile.lengths == (3,)
+        assert bg.cycle_profile(bg.breakpoint_graph(validate([2, 1]))) == (3,)
 
     def test_negative_singleton_profile(self):
-        profile = bg.cycle_profile(bg.breakpoint_graph(validate([-1])))
-        assert profile.lengths == (2,)
-        assert profile.c == 1 and profile.c_odd == 0 and profile.c_1 == 0
+        assert bg.cycle_profile(bg.breakpoint_graph(validate([-1]))) == (2,)
 
     @given(signed_perms())
     def test_lengths_sum_and_range(self, pi):
-        profile = bg.cycle_profile(bg.breakpoint_graph(pi))
-        assert sum(profile.lengths) == pi.n + 1
-        assert 1 <= profile.c <= pi.n + 1
+        lengths = bg.cycle_profile(bg.breakpoint_graph(pi))
+        assert sum(lengths) == pi.n + 1
+        assert 1 <= len(lengths) <= pi.n + 1
 
     @given(signed_perms())
     def test_fast_counters_agree(self, pi):
-        profile = bg.cycle_profile(bg.breakpoint_graph(pi))
-        assert bg.cycle_count_images(pi.images) == profile.c
-        assert tuple(sorted(bg.cycle_lengths_images(pi.images))) == profile.lengths
+        lengths = bg.cycle_profile(bg.breakpoint_graph(pi))
+        assert bg.cycle_count_images(pi.images) == len(lengths)
+        assert tuple(sorted(bg.cycle_lengths_images(pi.images))) == lengths
 
 
 def complement_lengths(config):

@@ -108,13 +108,21 @@ class TestTransferMatrix:
     """The DP census equals the per-permutation tally it replaced."""
 
     @pytest.mark.parametrize("signed, max_n", [(False, 7), (True, 6)])
-    @pytest.mark.parametrize("weight", census.WEIGHTS)
+    @pytest.mark.parametrize("weight", bpgraph.CYCLE_WEIGHTS)
     def test_each_first_image(self, weight, signed, max_n):
         # One DP run covers every first image; the "c_minus_2c_1" weight
         # carries the first image's [first == 1] term.
         for n in range(0, max_n + 1):
             expected = Counter(_weighted_sum(weight, t) for t in _images(n, signed))
             assert census._weighted_census(n, signed, weight) == expected, n
+
+    @pytest.mark.parametrize("signed, max_n", [(False, 7), (True, 6)])
+    @pytest.mark.parametrize("weight", bpgraph.CYCLE_WEIGHTS)
+    def test_weighted_cycle_sum(self, weight, signed, max_n):
+        # The per-permutation route reads the same row as the DP.
+        for n in range(0, max_n + 1):
+            for t in _images(n, signed):
+                assert bpgraph.weighted_cycle_sum(t, weight) == _weighted_sum(weight, t), t
 
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("statistic", sorted(_TABLES))
@@ -147,6 +155,8 @@ class TestTransferMatrix:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             census._weighted_census(3, False, "c_even")
+        with pytest.raises(ValueError):
+            bpgraph.weighted_cycle_sum((2, 1), "c_even")
         # A state byte must stay below the "done" marker 255.
         with pytest.raises(ValueError):
             odd_hultman_census(63, force=True)

@@ -52,6 +52,21 @@ def test_one_unsigned_precondition_in_distances():
     assert sites == {"PermutationError": ["distances._metric_value"]}
 
 
+def test_cycle_weights_are_spelled_once():
+    # A weight is a row of bpgraph.CYCLE_WEIGHTS; no module picks behaviour
+    # by comparing a value with a row's name.
+    names = set(bghultman.bpgraph.CYCLE_WEIGHTS)
+    compares = []
+    for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Constant) and side.value in names
+                for side in (node.left, *node.comparators)
+            ):
+                compares.append(f"{path.stem}:{node.lineno}")
+    assert compares == []
+
+
 def test_no_library_call_to_r_coefficient():
     # r_coefficient is the per-term reference; the library walks A_n only in
     # hultman._r_groups.
