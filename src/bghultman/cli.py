@@ -36,12 +36,7 @@ def _write(args: argparse.Namespace, columns: Sequence[str], document: dict[str,
     else:
         text = _json_text(columns, dict(head), container, rows)
     if args.out is None:
-        try:
-            sys.stdout.writelines(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader left early (`| head`): the rest and the exit flush go to devnull.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_stdout(text)
         return
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
@@ -53,6 +48,19 @@ def _write(args: argparse.Namespace, columns: Sequence[str], document: dict[str,
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _to_stdout(text: Iterable[str]) -> None:
+    """Write ``text`` to stdout as it comes.
+
+    If the reader leaves early (`| head`), ``text`` stops where the write
+    failed, and later writes and the exit flush go to devnull.
+    """
+    try:
+        sys.stdout.writelines(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _json_text(
@@ -141,7 +149,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     suite, default_max = verify.SUITES[args.suite]
     max_n = default_max if args.max_n is None else args.max_n
-    checks, failures = verify.run(suite, max_n)
+    checks = failures = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal checks, failures
+        for name, ok, detail in suite(max_n):
+            checks += 1
+            failures += not ok
+            yield f"{'PASS' if ok else 'FAIL'} {name} ({detail})\n"
+
+    text = lines()
+    _to_stdout(text)
+    # A reader that left early does not stop the checks the exit code reports.
+    for _ in text:
+        pass
     if checks == 0:
         print(f"error: suite {args.suite} ran no checks for --max-n {max_n}", file=sys.stderr)
         return 1

@@ -1,9 +1,8 @@
 """Verification suites: closed forms, censuses and the BFS oracle checked against each other.
 
 A suite is a generator of ``(name, ok, detail)`` checks up to a size limit
-``max_n``; ``run`` prints one PASS or FAIL line per check and returns the
-number of checks and of failures.  ``SUITES`` maps each suite name to its
-generator and its default limit.
+``max_n``; ``hultman verify`` prints one PASS or FAIL line per check.
+``SUITES`` maps each suite name to its generator and its default limit.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .hultman import (
     unsigned_rows,
 )
 
-__all__ = ["EULER_GAMMA", "SUITES", "run"]
+__all__ = ["EULER_GAMMA", "SUITES"]
 
 EULER_GAMMA = 0.5772156649
 
@@ -223,13 +222,3 @@ SUITES: dict[str, tuple[Callable[[int], Checks], int]] = {
     "bounds": (bounds, 5),
     "moments": (moments, 6),
 }
-
-
-def run(suite: Callable[[int], Checks], max_n: int) -> tuple[int, int]:
-    """Print one PASS/FAIL line per check of ``suite``; return (checks, failures)."""
-    checks = failures = 0
-    for name, ok, detail in suite(max_n):
-        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
-        checks += 1
-        failures += not ok
-    return checks, failures

@@ -19,7 +19,9 @@ from bghultman.hultman import (
     hultman_bona_flynn,
     signed_hultman,
     signed_moments,
+    signed_rows,
     unsigned_moments,
+    unsigned_rows,
 )
 from bghultman.perm import GuardError
 
@@ -104,6 +106,58 @@ def _brute_table(statistic, n):
     return dict(Counter(map(key, _images(n, signed))))
 
 
+_DONE = 255  # state byte of a vertex that has its black edge
+
+
+def _byte_census(n, signed, weight):
+    # The labelled DP the orbit engine replaced: state bytes 0..2n+1 hold
+    # 2 * path partner + path parity, or _DONE; byte 2n+2 is the exit vertex.
+    row = bpgraph.CYCLE_WEIGHTS[weight]
+    order = factorial(n) << n if signed else factorial(n)
+    bits = order.bit_length() + 1
+    parity = int(row.odd != row.even)
+    low, high = (n + 1) * min(0, *row), (n + 1) * max(0, *row)
+    shifts = (row.odd * bits, row.even * bits, row.one * bits)
+
+    def close(counts, path_parity, exit_, entry):
+        shift = shifts[2 if entry == exit_ ^ 1 and exit_ else path_parity]
+        return counts << shift if shift >= 0 else counts >> -shift
+
+    pairs = [(2 * v - 1, 2 * v) for v in range(1, n + 1)]
+    if signed:
+        pairs += [(2 * v, 2 * v - 1) for v in range(1, n + 1)]
+    level = {bytes([2 * (u ^ 1) for u in range(2 * n + 2)] + [0]): 1 << (-low * bits)}
+    for _ in range(n):
+        nxt = {}
+        for state, counts in level.items():
+            exit_ = state[-1]
+            partner, path_parity = divmod(state[exit_], 2)
+            for entry, new_exit in pairs:
+                code = state[entry]
+                if code == _DONE or state[new_exit] == _DONE:
+                    continue
+                b = bytearray(state)
+                b[exit_] = b[entry] = _DONE
+                b[-1] = new_exit
+                if entry == partner:
+                    out = close(counts, path_parity, exit_, entry)
+                else:
+                    other = code >> 1
+                    joined = (path_parity + code + 1) & parity
+                    b[partner] = 2 * other + joined
+                    b[other] = 2 * partner + joined
+                    out = counts
+                key = bytes(b)
+                nxt[key] = nxt.get(key, 0) + out
+        level = nxt
+    total = sum(
+        close(counts, state[state[-1]] & 1, state[-1], 2 * n + 1) for state, counts in level.items()
+    )
+    mask = (1 << bits) - 1
+    fields = ((j, (total >> ((j - low) * bits)) & mask) for j in range(low, high + 1))
+    return {j: count for j, count in fields if count}
+
+
 class TestTransferMatrix:
     """The DP census equals the per-permutation tally it replaced."""
 
@@ -115,6 +169,21 @@ class TestTransferMatrix:
         for n in range(0, max_n + 1):
             expected = Counter(_weighted_sum(weight, t) for t in _images(n, signed))
             assert census._weighted_census(n, signed, weight) == expected, n
+
+    @pytest.mark.parametrize("signed, max_n", [(False, 9), (True, 7)])
+    @pytest.mark.parametrize("weight", bpgraph.CYCLE_WEIGHTS)
+    def test_orbit_states_equal_byte_states(self, weight, signed, max_n):
+        for n in range(0, max_n + 1):
+            assert census._weighted_census(n, signed, weight) == _byte_census(n, signed, weight), n
+
+    def test_closed_forms_to_20(self):
+        for rows, dp_census in (
+            (unsigned_rows, hultman_census),
+            (signed_rows, signed_hultman_census),
+        ):
+            for n, row in enumerate(rows(20)):
+                expected = {k: row.coefficient(k) for k in range(1, n + 2) if row.coefficient(k)}
+                assert dp_census(n, force=True).counts == expected, n
 
     @pytest.mark.parametrize("signed, max_n", [(False, 7), (True, 6)])
     @pytest.mark.parametrize("weight", bpgraph.CYCLE_WEIGHTS)
@@ -157,9 +226,6 @@ class TestTransferMatrix:
             census._weighted_census(3, False, "c_even")
         with pytest.raises(ValueError):
             bpgraph.weighted_cycle_sum((2, 1), "c_even")
-        # A state byte must stay below the "done" marker 255.
-        with pytest.raises(ValueError):
-            odd_hultman_census(63, force=True)
 
 
 class TestOddCensus:

@@ -315,6 +315,21 @@ class TestVerify:
         assert "FAIL table1.row_n3" in out
         assert "failed" in err
 
+    def test_closed_pipe_is_quiet_success(self):
+        # A reader that stops after one line, as `| head -1` does; unbuffered,
+        # each check's line goes out as it comes, so later lines meet the
+        # closed pipe.
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bghultman", "verify", "--suite", "formulas"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"PASS formulas.")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+
     def test_no_checks_is_failure(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "table1", "--max-n", "0")
         assert code == 1
