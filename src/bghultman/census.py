@@ -54,8 +54,8 @@ __all__ = [
     "MATCHING_CENSUS_GUARD",
 ]
 
-UNSIGNED_CENSUS_GUARD = 10
-SIGNED_CENSUS_GUARD = 8
+UNSIGNED_CENSUS_GUARD = 13
+SIGNED_CENSUS_GUARD = 12
 MATCHING_CENSUS_GUARD = 6
 
 

@@ -19,6 +19,17 @@ multiplications give the same distances: the products of k generators form
 the same set whether each word is built from the left or from the right, so
 the two balls of every radius around the identity agree.
 
+The BFS expands one state of each mirror pair.  The mirror of s is
+w0 s w0, its conjugate by the reversal w0: s read backwards, each value v
+replaced by sgn(v) * (n + 1 - |v|).  (In the signed group conjugating by
+-w0 is the same, since -id is central.)  It commutes with the move,
+mirror(g s) = mirror(g) mirror(s), so whenever it maps the generator set onto
+itself, s and its mirror lie at the same distance, and the mirror of a state
+found at a level is counted there without being expanded.  Whether a set is
+closed under the mirror is checked on its generators at each size.  From
+n = 3 on it holds for reversals, transpositions, block interchanges and
+signed reversals, and fails for the three prefix sets, which skip the step.
+
 Each cycle-based metric is one row of ``_METRICS``: its group (signed or
 unsigned), the ``bpgraph.CYCLE_WEIGHTS`` row whose per-cycle sum it reads,
 and its formula in n and that sum.  The per-permutation functions, the
@@ -204,38 +215,80 @@ def _value_tables(name: str, n: int) -> tuple[bytes, ...]:
     return tuple(tables)
 
 
-def _bfs_levels(n: int, name: str, force: bool) -> Iterator[list[bytes]]:
-    # The BFS frontiers from the identity, level by level, as byte codes
-    # (see _value_tables); each move is one translate by a generator's table.
+def _mirror_table(name: str, n: int) -> bytes | None:
+    # The bytes.translate table of the mirror s -> w0 s w0 on values: the
+    # code of v maps to the code of sgn(v) * (n + 1 - |v|), and the state is
+    # read backwards.  None unless the mirror maps the generator set onto
+    # itself, which is checked on the generators, not declared per set.
+    table = bytearray(range(256))
+    for v in range(1, n + 1):
+        table[n + v] = 2 * n + 1 - v
+        table[n - v] = v - 1
+    flip = bytes(table)
+    codes = {bytes([n + v for v in g]) for g in _generators(name, n)}
+    return flip if {code[::-1].translate(flip) for code in codes} == codes else None
+
+
+def _bfs_moves(n: int, name: str, force: bool) -> tuple[tuple[bytes, ...], bytes | None]:
+    # The checks every BFS makes before it builds anything, then its move
+    # tables (see _value_tables) and its mirror table (see _mirror_table).
     gset = GeneratorSet(name)
     check_size(n, BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD, force, f"{name} BFS")
     if n >= 128:
         raise ValueError(f"{name} BFS stores states as bytes, so n must be below 128, got {n}")
-    tables = _value_tables(name, n)
+    return _value_tables(name, n), _mirror_table(name, n)
+
+
+def _bfs_levels(
+    n: int, tables: tuple[bytes, ...], flip: bytes | None
+) -> Iterator[tuple[int, list[bytes]]]:
+    # The BFS from the identity, level by level: each level's size and the
+    # states expanded at it, as byte codes; each move is one translate by a
+    # generator's table.  With a mirror table only one state of each mirror
+    # pair is expanded, which is exact because the mirror commutes with the
+    # move and maps the generators onto themselves (module docstring).  A new
+    # state's mirror is new too: the two lie at one depth, and whichever is
+    # found first marks the other.  It is marked seen, and so counted in the
+    # level's size, but never expanded; a state that is its own mirror is
+    # counted once.
     frontier = [bytes(range(n + 1, 2 * n + 1))]
     seen = set(frontier)
+    size = 1
     while frontier:
-        yield frontier
+        yield size, frontier
+        known = len(seen)
         nxt = []
         for state in frontier:
             for nb in map(state.translate, tables):
                 if nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)
+                    if flip is not None:
+                        seen.add(nb[::-1].translate(flip))
         frontier = nxt
+        size = len(seen) - known
 
 
 def bfs_distances(n: int, generator_set: str, force: bool = False) -> dict[Images, int]:
     """Exact sorting distance of every group element, by BFS from identity."""
-    return {
-        tuple([code - n for code in state]): d
-        for d, level in enumerate(_bfs_levels(n, generator_set, force))
-        for state in level
-    }
+    tables, flip = _bfs_moves(n, generator_set, force)
+
+    def decode(state: bytes) -> Images:
+        return tuple([code - n for code in state])
+
+    dist = {}
+    for d, (_, level) in enumerate(_bfs_levels(n, tables, flip)):
+        for state in level:
+            dist[decode(state)] = d
+            if flip is not None:
+                dist[decode(state[::-1].translate(flip))] = d
+    return dist
 
 
 def bfs_level_sizes(n: int, generator_set: str, force: bool = False) -> dict[int, int]:
-    return {d: len(level) for d, level in enumerate(_bfs_levels(n, generator_set, force))}
+    """The number of group elements at each BFS distance from the identity."""
+    levels = _bfs_levels(n, *_bfs_moves(n, generator_set, force))
+    return {d: size for d, (size, _) in enumerate(levels)}
 
 
 def bound_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:

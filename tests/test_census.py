@@ -51,9 +51,9 @@ class TestCycleCensuses:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            hultman_census(11)
+            hultman_census(census.UNSIGNED_CENSUS_GUARD + 1)
         with pytest.raises(GuardError):
-            signed_hultman_census(9)
+            signed_hultman_census(census.SIGNED_CENSUS_GUARD + 1)
 
 
 def _images(n, signed):

@@ -117,7 +117,8 @@ class TestCensus:
         assert result.stdout == "[]\n"
 
     def test_guard_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "census", "--n", "11")
+        n = census.UNSIGNED_CENSUS_GUARD + 1
+        code, _, err = run_cli(capsys, "census", "--n", str(n))
         assert code == 2
         assert "guard" in err
         assert "--force" in err

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from bghultman import distances as D
+from bghultman.census import SIGNED_CENSUS_GUARD, UNSIGNED_CENSUS_GUARD
 from bghultman.distances import (
     GENERATOR_SETS,
     GeneratorSet,
@@ -104,6 +105,13 @@ def _tuple_bfs(gset, start):
         d += 1
         frontier = nxt
     return dist
+
+
+def _mirror(t):
+    # w0 t w0 for the reversal w0: t read backwards, each value v replaced by
+    # sgn(v) * (n + 1 - |v|).
+    n = len(t)
+    return tuple([-n - 1 - v if v < 0 else n + 1 - v for v in reversed(t)])
 
 
 SLICING_MOVES = {
@@ -208,9 +216,9 @@ class TestDistributions:
         with pytest.raises(ValueError):
             bound_distribution(-1, "td_lower")
         with pytest.raises(GuardError):
-            bound_distribution(11, "td_lower")
+            bound_distribution(UNSIGNED_CENSUS_GUARD + 1, "td_lower")
         with pytest.raises(GuardError):
-            bound_distribution(9, "srd_lower")
+            bound_distribution(SIGNED_CENSUS_GUARD + 1, "srd_lower")
 
 
 class TestBFS:
@@ -303,10 +311,36 @@ class TestBFS:
 
     def test_byte_bfs_equals_tuple_bfs(self):
         for name, gset in GENERATOR_SETS.items():
-            for n in range(0, 5 if gset.signed else 7):
+            for n in range(0, 6 if gset.signed else 8):
                 dist = bfs_distances(n, name)
                 assert dist == _tuple_bfs(gset, tuple(range(1, n + 1))), (name, n)
                 assert bfs_level_sizes(n, name) == Counter(dist.values()), (name, n)
+
+    def test_mirror_closure_is_derived(self):
+        # Conjugation by the reversal maps a set's generators onto themselves
+        # exactly for the four sets that are not prefix sets.
+        for name in GENERATOR_SETS:
+            for n in range(3, 9):
+                closed = D._mirror_table(name, n) is not None
+                assert closed == (not name.startswith("prefix_")), (name, n)
+        for name in GENERATOR_SETS:
+            assert D._mirror_table(name, 1) is not None, name
+
+    def test_levels_closed_under_mirror(self):
+        # Where the generators are closed under the mirror, the mirror
+        # w0 s w0 of every state lies at the state's distance, and the BFS
+        # expands one state of each mirror pair.  Where they are not, some
+        # state's mirror does not, which is why the BFS then expands every
+        # state.
+        for name, gset in GENERATOR_SETS.items():
+            for n in range(0, 6 if gset.signed else 8):
+                dist = bfs_distances(n, name)
+                moved = sum(dist[_mirror(t)] != d for t, d in dist.items())
+                tables, flip = D._bfs_moves(n, name, False)
+                assert (moved == 0) == (flip is not None), (name, n)
+                expanded = sum(len(level) for _, level in D._bfs_levels(n, tables, flip))
+                pairs = len({min(t, _mirror(t)) for t in dist})
+                assert expanded == (len(dist) if flip is None else pairs), (name, n)
 
     def test_value_tables_are_left_multiplications(self):
         # Each table relabels the values of an encoded t (each v as v + n) as
