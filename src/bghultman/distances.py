@@ -19,16 +19,25 @@ multiplications give the same distances: the products of k generators form
 the same set whether each word is built from the left or from the right, so
 the two balls of every radius around the identity agree.
 
-The BFS expands one state of each mirror pair.  The mirror of s is
-w0 s w0, its conjugate by the reversal w0: s read backwards, each value v
-replaced by sgn(v) * (n + 1 - |v|).  (In the signed group conjugating by
--w0 is the same, since -id is central.)  It commutes with the move,
-mirror(g s) = mirror(g) mirror(s), so whenever it maps the generator set onto
-itself, s and its mirror lie at the same distance, and the mirror of a state
-found at a level is counted there without being expanded.  Whether a set is
-closed under the mirror is checked on its generators at each size.  From
-n = 3 on it holds for reversals, transpositions, block interchanges and
-signed reversals, and fails for the three prefix sets, which skip the step.
+The BFS expands one state of each orbit of the symmetries that map the
+generator set onto itself, checked on the generators at each size.  The
+mirror of s is w0 s w0, its conjugate by the reversal w0: s read backwards,
+each value v replaced by sgn(v) * (n + 1 - |v|).  (In the signed group
+conjugating by -w0 is the same, since -id is central.)  It commutes with the
+move, mirror(g s) = mirror(g) mirror(s).  The toric shift phi_m of an
+unsigned s frames it as (0 s) on Z_{n+1}, reads the frame from position m
+and subtracts the value there: phi_m(s)(i) = s(i+m) - s(m) mod n+1
+(Eriksson et al., Discrete Math. 2001).  It satisfies
+phi_m(g s) = phi_{s(m)}(g) phi_m(s), phi_m phi_k = phi_{m+k} and
+phi_m(id) = id, so when every phi_x maps every generator back into the set,
+each phi_m is a bijection that maps the moves of s onto those of phi_m(s)
+and fixes the identity, and s and phi_m(s) lie at the same distance.  The
+mirror holds from n = 3 on for reversals, transpositions, block interchanges
+and signed reversals; the shifts hold for transpositions and block
+interchanges (toric classes of up to n + 1 permutations, 2n + 2 with the
+mirror), and below n = 3 for every unsigned set.  Signed sets are never
+shifted, and the three prefix sets expand every state.  Each image of a state
+found at a level is counted there without being expanded.
 
 Each cycle-based metric is one row of ``_METRICS``: its group (signed or
 unsigned), the ``bpgraph.CYCLE_WEIGHTS`` row whose per-cycle sum it reads,
@@ -41,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import bpgraph
 from .census import DistributionTable, _run_census
@@ -229,28 +238,69 @@ def _mirror_table(name: str, n: int) -> bytes | None:
     return flip if {code[::-1].translate(flip) for code in codes} == codes else None
 
 
-def _bfs_moves(n: int, name: str, force: bool) -> tuple[tuple[bytes, ...], bytes | None]:
+def _toric_images(state: bytes, subtract: tuple[bytes, ...]) -> list[bytes]:
+    # Every toric shift of an unsigned state: frame it as (0 s), read the
+    # frame cyclically from position m, subtract the value read there mod
+    # n + 1 (table subtract[a] maps the code of v to that of v - a), and drop
+    # the leading 0.  The shift from m = 0 is the state itself.  A list, not
+    # a set: set.update grows the BFS's seen set in 4x steps from a list,
+    # as set.add does, but in 2x steps from a set, which raises peak memory.
+    n = len(state)
+    framed = bytes([n]) + state
+    doubled = framed * 2
+    return [doubled[m + 1 : m + n + 1].translate(subtract[a - n]) for m, a in enumerate(framed)]
+
+
+def _shift_tables(name: str, n: int) -> tuple[bytes, ...] | None:
+    # The subtract tables of _toric_images, or None unless every toric shift
+    # maps every generator back into the set, which is checked on the
+    # generators, not declared per set.  Signed sets are never shifted.
+    if GeneratorSet(name).signed:
+        return None
+    subtract = []
+    for a in range(n + 1):
+        table = bytearray(range(256))
+        table[n : 2 * n + 1] = [n + (v - a) % (n + 1) for v in range(n + 1)]
+        subtract.append(bytes(table))
+    codes = {bytes([n + v for v in g]) for g in _generators(name, n)}
+    closed = all(codes.issuperset(_toric_images(code, subtract)) for code in codes)
+    return tuple(subtract) if closed else None
+
+
+def _bfs_moves(
+    n: int, name: str, force: bool
+) -> tuple[tuple[bytes, ...], Callable[[bytes], Iterable[bytes]] | None]:
     # The checks every BFS makes before it builds anything, then its move
-    # tables (see _value_tables) and its mirror table (see _mirror_table).
+    # tables (see _value_tables) and its orbit map: a state's images under
+    # the toric shifts and the mirror that map the generators onto
+    # themselves, the state included, or None if neither does.
     gset = GeneratorSet(name)
     check_size(n, BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD, force, f"{name} BFS")
     if n >= 128:
         raise ValueError(f"{name} BFS stores states as bytes, so n must be below 128, got {n}")
-    return _value_tables(name, n), _mirror_table(name, n)
+    flip, subtract = _mirror_table(name, n), _shift_tables(name, n)
+    if subtract is None:
+        orbit = None if flip is None else lambda s: (s, s[::-1].translate(flip))
+    else:
+        def orbit(state: bytes) -> list[bytes]:
+            images = _toric_images(state, subtract)
+            if flip is not None:
+                images += [s[::-1].translate(flip) for s in images]
+            return images
+    return _value_tables(name, n), orbit
 
 
 def _bfs_levels(
-    n: int, tables: tuple[bytes, ...], flip: bytes | None
+    n: int, tables: tuple[bytes, ...], orbit: Callable[[bytes], Iterable[bytes]] | None
 ) -> Iterator[tuple[int, list[bytes]]]:
     # The BFS from the identity, level by level: each level's size and the
     # states expanded at it, as byte codes; each move is one translate by a
-    # generator's table.  With a mirror table only one state of each mirror
-    # pair is expanded, which is exact because the mirror commutes with the
-    # move and maps the generators onto themselves (module docstring).  A new
-    # state's mirror is new too: the two lie at one depth, and whichever is
-    # found first marks the other.  It is marked seen, and so counted in the
-    # level's size, but never expanded; a state that is its own mirror is
-    # counted once.
+    # generator's table.  With an orbit map only one state of each orbit is
+    # expanded, which is exact because each symmetry in it maps the moves of
+    # a state onto the moves of its image (module docstring).  The images of
+    # a new state are new too: they lie at its depth, and seen only ever
+    # holds whole orbits.  They are marked seen, and so counted in the
+    # level's size, but never expanded.
     frontier = [bytes(range(n + 1, 2 * n + 1))]
     seen = set(frontier)
     size = 1
@@ -261,27 +311,23 @@ def _bfs_levels(
         for state in frontier:
             for nb in map(state.translate, tables):
                 if nb not in seen:
-                    seen.add(nb)
                     nxt.append(nb)
-                    if flip is not None:
-                        seen.add(nb[::-1].translate(flip))
+                    if orbit is None:
+                        seen.add(nb)
+                    else:
+                        seen.update(orbit(nb))
         frontier = nxt
         size = len(seen) - known
 
 
 def bfs_distances(n: int, generator_set: str, force: bool = False) -> dict[Images, int]:
     """Exact sorting distance of every group element, by BFS from identity."""
-    tables, flip = _bfs_moves(n, generator_set, force)
-
-    def decode(state: bytes) -> Images:
-        return tuple([code - n for code in state])
-
+    tables, orbit = _bfs_moves(n, generator_set, force)
     dist = {}
-    for d, (_, level) in enumerate(_bfs_levels(n, tables, flip)):
+    for d, (_, level) in enumerate(_bfs_levels(n, tables, orbit)):
         for state in level:
-            dist[decode(state)] = d
-            if flip is not None:
-                dist[decode(state[::-1].translate(flip))] = d
+            for image in (state,) if orbit is None else orbit(state):
+                dist[tuple([code - n for code in image])] = d
     return dist
 
 

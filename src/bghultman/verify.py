@@ -161,6 +161,12 @@ def bounds(max_n: int) -> Checks:
             tally = distances.bound_distribution(n, metric)
             ok = tally == distances.distance_distribution(n, metric)
             yield f"bounds.{metric}_shift_n{n}", ok, detail
+    # Block-interchange distance is (n+1-c)/2 (Christie 1996), so the BFS
+    # levels must equal the closed-form bid row at every size it reaches.
+    for n in range(0, distances.BFS_UNSIGNED_GUARD + 1):
+        levels = distances.bfs_level_sizes(n, "block_interchange")
+        ok = levels == distances.distance_distribution(n, "bid").counts
+        yield f"bounds.bid_bfs_n{n}", ok, "block-interchange BFS levels equal the closed form"
     for group, top, rows in _BFS_DOMINATION:
         for n in range(0, min(max_n, top) + 1):
             bfs = [distances.bfs_distances(n, gset) for gset, *_ in rows]

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 from math import factorial
 
 import pytest
@@ -112,6 +113,14 @@ def _mirror(t):
     # sgn(v) * (n + 1 - |v|).
     n = len(t)
     return tuple([-n - 1 - v if v < 0 else n + 1 - v for v in reversed(t)])
+
+
+def _shift(t, m):
+    # The toric shift: frame t as (0 t) on Z_{n+1}, read it from position m
+    # and subtract the value there.
+    n = len(t)
+    framed = (0, *t)
+    return tuple([(framed[(i + m) % (n + 1)] - framed[m]) % (n + 1) for i in range(1, n + 1)])
 
 
 SLICING_MOVES = {
@@ -268,21 +277,29 @@ class TestBFS:
                     assert sorted(gset.moves(t)) == expected, (name, t)
 
     def test_block_interchange_matches_closed_form(self):
-        # Christie (1996): block-interchange distance is (n+1-c)/2.
-        for n in range(0, 8):
-            bfs = distance_distribution(n, "block_interchange").counts
+        # Christie (1996): block-interchange distance is (n+1-c)/2, checked
+        # one size past the guard too.
+        for n in range(0, 10):
+            bfs = distance_distribution(n, "block_interchange", force=True).counts
             assert bfs == distance_distribution(n, "bid").counts, n
+        assert list(bfs.values()) == [1, 330, 16401, 152900, 193248]
+
+    def test_transposition_levels_past_guard(self):
+        # The n = 9 row the README records.
+        sizes = bfs_level_sizes(9, "transposition", force=True)
+        assert list(sizes.values()) == [1, 120, 4284, 52512, 191636, 114327]
 
     @pytest.mark.parametrize(
         "name, diameters",
         [
             ("prefix_reversal", [0, 1, 3, 4, 5, 7, 8, 9]),  # pancake numbers, OEIS A058986
             ("prefix_signed_reversal", [1, 4, 6, 8, 10, 12]),  # burnt pancakes, OEIS A078941
+            ("transposition", [0, 1, 2, 3, 3, 4, 4, 5, 5]),
         ],
     )
     def test_known_diameters(self, name, diameters):
         for n, diameter in enumerate(diameters, start=1):
-            assert max(bfs_level_sizes(n, name)) == diameter, n
+            assert max(bfs_level_sizes(n, name, force=True)) == diameter, n
 
     def test_left_invariance_spot_check(self):
         for name in ("reversal", "prefix_transposition", "signed_reversal"):
@@ -326,21 +343,45 @@ class TestBFS:
         for name in GENERATOR_SETS:
             assert D._mirror_table(name, 1) is not None, name
 
-    def test_levels_closed_under_mirror(self):
-        # Where the generators are closed under the mirror, the mirror
-        # w0 s w0 of every state lies at the state's distance, and the BFS
-        # expands one state of each mirror pair.  Where they are not, some
-        # state's mirror does not, which is why the BFS then expands every
-        # state.
+    def test_toric_closure_is_derived(self):
+        # Every toric shift maps a set's generators back into the set exactly
+        # for transpositions and block interchanges from n = 3 on, and for
+        # every unsigned set below that; signed sets are never shifted.
+        for name, gset in GENERATOR_SETS.items():
+            for n in range(0, 9):
+                closed = D._shift_tables(name, n) is not None
+                toric = name in ("transposition", "block_interchange") or n <= 2
+                assert closed == (toric and not gset.signed), (name, n)
+
+    def test_levels_expand_one_state_per_orbit(self):
+        # The mirror w0 s w0, and for unsigned sets the toric shifts, are
+        # symmetries of the BFS exactly where they map the generators onto
+        # themselves: then every state's image lies at the state's distance,
+        # and otherwise some state's does not.  The BFS expands one state of
+        # each orbit of the symmetries, counted here from tuples.
         for name, gset in GENERATOR_SETS.items():
             for n in range(0, 6 if gset.signed else 8):
                 dist = bfs_distances(n, name)
-                moved = sum(dist[_mirror(t)] != d for t, d in dist.items())
-                tables, flip = D._bfs_moves(n, name, False)
-                assert (moved == 0) == (flip is not None), (name, n)
-                expanded = sum(len(level) for _, level in D._bfs_levels(n, tables, flip))
-                pairs = len({min(t, _mirror(t)) for t in dist})
-                assert expanded == (len(dist) if flip is None else pairs), (name, n)
+                generators = set(gset.moves(identity(n).images))
+                shifts = [] if gset.signed else [partial(_shift, m=m) for m in range(n + 1)]
+                symmetries = []
+                for f in [_mirror, *shifts]:
+                    closed = {f(g) for g in generators} == generators
+                    kept = all(dist[f(t)] == d for t, d in dist.items())
+                    assert closed == kept, (name, n, f)
+                    symmetries += [f] * closed
+                orbits = 0
+                unseen = set(dist)
+                while unseen:
+                    orbits += 1
+                    stack = [unseen.pop()]
+                    while stack:
+                        t = stack.pop()
+                        images = {f(t) for f in symmetries} & unseen
+                        unseen -= images
+                        stack += images
+                levels = D._bfs_levels(n, *D._bfs_moves(n, name, False))
+                assert sum(len(level) for _, level in levels) == orbits, (name, n)
 
     def test_value_tables_are_left_multiplications(self):
         # Each table relabels the values of an encoded t (each v as v + n) as
