@@ -13,6 +13,13 @@ The package computes, with exact arithmetic throughout:
 See the ``hultman`` console script for the command-line interface.
 """
 
+# The package imports its layers eagerly.  A lazy package (PEP 562) would
+# save about 10 ms on each `table` or `moments` launch, but
+# perfbench/layers.py reads exactmath, perm, bpgraph, hultman, census and
+# distances from sys.modules after `import bghultman.cli`, and its kernel
+# timings fail when one of them is not loaded yet.  verify and the golden
+# table it reads are the exception: only `hultman verify` imports them.
+
 from .bpgraph import (
     Configuration,
     breakpoint_graph,

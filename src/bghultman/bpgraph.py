@@ -23,7 +23,6 @@ doubled sequence is never built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -182,22 +181,22 @@ def union_cycle_count(a: Sequence[int], b: Sequence[int]) -> int:
     return len(_union_lengths(a, b))
 
 
-@dataclass(frozen=True)
 class Configuration:
     """Black perfect matching on 0..2n+1; the grey matching is implicit."""
 
-    n: int
-    black: tuple[int, ...]
+    __slots__ = ("n", "black")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, black: tuple[int, ...]) -> None:
+        if n < 0:
             raise ValueError("n must be >= 0")
-        size, black = 2 * self.n + 2, self.black
+        size = 2 * n + 2
         # A perfect matching of 0..2n+1 is a fixed-point-free involution of it.
         if len(black) != size or not all(
             0 <= w < size and w != v and black[w] == v for v, w in enumerate(black)
         ):
             raise ValueError(f"black {black} is not a perfect matching of 0..{size - 1}")
+        self.n = n
+        self.black = black
 
 
 def breakpoint_graph(pi: SignedPermutation) -> Configuration:

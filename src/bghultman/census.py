@@ -34,7 +34,6 @@ matching census walks perfect matchings instead.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterator, Mapping
@@ -59,16 +58,22 @@ SIGNED_CENSUS_GUARD = 12
 MATCHING_CENSUS_GUARD = 6
 
 
-@dataclass(frozen=True)
 class DistributionTable:
     """Exact map k -> count for a named statistic at a given n.
 
-    Absent keys mean zero; stored counts are positive.
+    Absent keys mean zero; stored counts are positive.  Tables with equal
+    fields compare equal; the counts are a dict, so a table has no hash.
     """
 
-    n: int
-    statistic: str
-    counts: Mapping[int, int]
+    __slots__ = ("n", "statistic", "counts")
+
+    def __init__(self, n: int, statistic: str, counts: Mapping[int, int]) -> None:
+        self.n, self.statistic, self.counts = n, statistic, counts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DistributionTable):
+            return NotImplemented
+        return (self.n, self.statistic, self.counts) == (other.n, other.statistic, other.counts)
 
     def count(self, k: int) -> int:
         return self.counts.get(k, 0)

@@ -47,7 +47,6 @@ census tallies and the closed-form tables all read that row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -119,7 +118,6 @@ def _generators(name: str, n: int) -> tuple[Images, ...]:
     return tuple(generators)
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """A named move set generating S_n or its signed counterpart.
 
@@ -128,11 +126,12 @@ class GeneratorSet:
     inverses, so these are true left-invariant sorting distances.
     """
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if self.name not in _CUT_GAPS:
-            raise ValueError(f"unknown generator set {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if name not in _CUT_GAPS:
+            raise ValueError(f"unknown generator set {name!r}")
+        self.name = name
 
     @property
     def signed(self) -> bool:
@@ -368,15 +367,24 @@ def distance_distribution(n: int, metric: str, force: bool = False) -> Distribut
     raise ValueError(f"unknown metric {metric!r}")
 
 
-@dataclass(frozen=True)
 class ComparisonResult:
-    """A distance distribution next to its best-fitting shifted cycle table."""
+    """A distance distribution next to its best-fitting shifted cycle table.
 
-    n: int
-    metric: str
-    offset: int
-    total_variation: int
-    rows: tuple[tuple[int, int, int], ...]  # (k, distance count, shifted count)
+    Each row is (k, distance count, shifted count).
+    """
+
+    __slots__ = ("n", "metric", "offset", "total_variation", "rows")
+
+    def __init__(
+        self,
+        n: int,
+        metric: str,
+        offset: int,
+        total_variation: int,
+        rows: tuple[tuple[int, int, int], ...],
+    ) -> None:
+        self.n, self.metric, self.offset = n, metric, offset
+        self.total_variation, self.rows = total_variation, rows
 
 
 def _closed_form_counts(n: int, metric: str) -> dict[int, int]:

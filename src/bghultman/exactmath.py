@@ -19,7 +19,6 @@ harmonic sum is an integer prefix sum over one denominator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -55,22 +54,32 @@ def exact_div(a: _Dividend, b: _Dividend) -> _Dividend:
     return q
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial with int coefficients.
 
     ``coeffs[k]`` is the coefficient of x^k.  The tuple carries no trailing
     zeros, so the zero polynomial is the empty tuple and ``degree`` of zero
-    is -1.
+    is -1.  Polynomials with equal coefficients compare and hash equal.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        c = self.coeffs if isinstance(self.coeffs, tuple) else tuple(self.coeffs)
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        c = coeffs if isinstance(coeffs, tuple) else tuple(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        self.coeffs = c
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def zero(cls) -> "Polynomial":

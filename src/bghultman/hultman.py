@@ -32,7 +32,6 @@ ExactnessError, which always indicates a bug rather than bad input.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -78,35 +77,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class HookPartition:
     """Hook-shaped partition (a, b, 1^(n-a-b+1)) of n+1.
 
     Either a >= b >= 1 with a + b <= n+1, or (a, b) = (n+1, 0) for the
-    single-row shape.
+    single-row shape.  Equal shapes compare and hash equal.
     """
 
-    a: int
-    b: int
-    n: int
+    __slots__ = ("a", "b", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, a: int, b: int, n: int) -> None:
+        if n < 0:
             raise ValueError("n must be >= 0")
-        ok_hook = self.b >= 1 and self.a >= self.b and self.a + self.b <= self.n + 1
-        ok_row = self.a == self.n + 1 and self.b == 0
+        ok_hook = b >= 1 and a >= b and a + b <= n + 1
+        ok_row = a == n + 1 and b == 0
         if not (ok_hook or ok_row):
-            raise ValueError(f"({self.a}, {self.b}) is not a hook shape for n={self.n}")
+            raise ValueError(f"({a}, {b}) is not a hook shape for n={n}")
+        self.a, self.b, self.n = a, b, n
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HookPartition):
+            return NotImplemented
+        return (self.a, self.b, self.n) == (other.a, other.b, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.n))
 
 
-@dataclass(frozen=True)
 class MomentPair:
-    mean: Fraction
-    variance: Fraction
+    """Exact mean and variance of a statistic; equal pairs compare and hash equal."""
 
-    def __post_init__(self) -> None:
-        if self.variance < 0:
+    __slots__ = ("mean", "variance")
+
+    def __init__(self, mean: Fraction, variance: Fraction) -> None:
+        if variance < 0:
             raise ValueError("variance must be >= 0")
+        self.mean, self.variance = mean, variance
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MomentPair):
+            return NotImplemented
+        return (self.mean, self.variance) == (other.mean, other.variance)
+
+    def __hash__(self) -> int:
+        return hash((self.mean, self.variance))
 
 
 def hook_partitions(n: int) -> Iterator[HookPartition]:

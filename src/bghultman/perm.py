@@ -13,7 +13,6 @@ image any more; ``first_values`` and the ``first`` argument of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -65,11 +64,24 @@ def check_size(n: int, guard: int, force: bool, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
 class SignedPermutation:
-    """Permutation of {1..n} with per-element signs, as a tuple of images."""
+    """Permutation of {1..n} with per-element signs, as a tuple of images.
 
-    images: tuple[int, ...]
+    Equal permutations compare and hash equal; ``validate`` checks the images.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        self.images = images
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SignedPermutation):
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     @property
     def n(self) -> int:

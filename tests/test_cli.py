@@ -33,6 +33,28 @@ def parse_csv(text):
     return header, [line.split(",") for line in lines[1:]]
 
 
+def modules_after_cli_import():
+    """The names in sys.modules of a fresh interpreter after `import bghultman.cli`."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, bghultman.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_launch_footprint():
+    # dataclasses would bring inspect, ast, dis and tokenize into every
+    # launch, and only `hultman verify` runs the suites.  perfbench/layers.py
+    # reads the six layer modules from sys.modules after this import.
+    modules = modules_after_cli_import()
+    assert not modules & {"dataclasses", "inspect", "bghultman.verify", "bghultman.golden"}
+    layers = ("exactmath", "perm", "bpgraph", "hultman", "census", "distances")
+    assert {f"bghultman.{name}" for name in layers} <= modules
+
+
 class TestTable:
     def test_reproduces_reference_values(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--signed", "--n", "11")
@@ -103,18 +125,8 @@ class TestCensus:
     def test_import_loads_no_worker_pool(self):
         # Every census runs in the calling process, so the CLI needs neither
         # concurrent.futures nor multiprocessing.
-        src = Path(cli.__file__).resolve().parent.parent
-        code = (
-            "import sys, bghultman.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('concurrent', 'multiprocessing'))))"
-        )
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n"
+        modules = modules_after_cli_import()
+        assert [m for m in modules if m.startswith(("concurrent", "multiprocessing"))] == []
 
     def test_guard_exit_code(self, capsys):
         n = census.UNSIGNED_CENSUS_GUARD + 1

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import bghultman
+from bghultman import cli, verify
 
 # pyproject.toml declares requires-python = ">=3.10".
 FLOOR = (3, 10)
@@ -34,6 +35,28 @@ class _RaiseSites(ast.NodeVisitor):
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         if isinstance(exc, ast.Name) and exc.id in self.sites:
             self.sites[exc.id].append(f"{self.where[0]}.{self.where[-1]}")
+
+
+def test_no_dataclasses_import():
+    # dataclasses brings inspect, ast, dis and tokenize into every launch, and
+    # each decoration execs generated code; the records are __slots__ classes.
+    imports = []
+    for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                imports.append(f"{path.stem}:{node.lineno}")
+    assert imports == []
+
+
+def test_cli_spells_the_verify_suites():
+    # cli names the suites itself so that only `hultman verify` imports them.
+    assert cli._SUITE_NAMES == tuple(sorted(verify.SUITES))
 
 
 def test_one_exactness_check_and_one_size_guard():
