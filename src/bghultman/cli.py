@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, compress, repeat, starmap
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import census, distances
@@ -30,28 +30,34 @@ def _write(args: argparse.Namespace, columns: Sequence[str], document: dict[str,
     """Write ``document``, whose last value is an iterable of rows, per --format.
 
     CSV is the ``columns`` header and one line per row; JSON is what
-    ``json.dumps(document, indent=2)`` would give (see ``_json_text``).  Text
-    goes out as the rows come, to stdout or to --out through a temporary file
-    in the same directory that replaces it only once complete.
+    ``json.dumps(document, indent=2)`` would give (see ``_json_text``).  Each
+    row fills one ``str.format`` template, and text goes out as the rows come,
+    to stdout or to --out.  --out writes through a symlink, writes an existing
+    device or FIFO in place, and replaces a regular file only once a temporary
+    file beside it is complete; a symlink loop is an error.
     """
     *head, (container, rows) = document.items()
     if args.format == "csv":
-        text = chain([",".join(columns) + "\n"], (",".join(map(str, row)) + "\n" for row in rows))
+        template = ",".join(["{}"] * len(columns)) + "\n"
+        text = chain([",".join(columns) + "\n"], starmap(template.format, rows))
     else:
         text = _json_text(columns, dict(head), container, rows)
     if args.out is None:
         _to_stdout(text)
         return
-    tmp = f"{args.out}.{os.getpid()}.tmp"
+    target = os.path.realpath(args.out)
+    in_place = os.path.lexists(target) and not os.path.isfile(target)
+    path = target if in_place else f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(text)
-        os.replace(tmp, args.out)
+        if not in_place:
+            os.replace(path, target)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, args.out) from None
     finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        if not in_place and os.path.exists(path):
+            os.remove(path)
 
 
 def _to_stdout(text: Iterable[str]) -> None:
@@ -67,32 +73,58 @@ def _to_stdout(text: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+# Besides its quotes, a JSON row may hold the template's newlines and the
+# printable ASCII that json.dumps writes as itself: all but '"' and '\'.
+_JSON_PLAIN = b"\n" + bytes(range(32, 127)).translate(None, b'"\\')
+
+
 def _json_text(
     columns: Sequence[str], head: dict[str, Any], container: str, rows: Iterable[Sequence[Any]]
 ) -> Iterator[str]:
-    # A "counts" container maps each row's first string to its second; any
-    # other lists one object per row, keyed by the columns not in ``head``.
-    # Each row fills a template built once, and only strings go through
-    # json.dumps, whose compact form runs in C.
+    # A "counts" container maps each row's first cell to its second, both
+    # quoted; any other lists one object per row, keyed by the columns not in
+    # ``head``, from a template typed by the first row: {:d} for an int cell,
+    # "{:s}" for a str cell, so a cell unlike the first row's fails its spec.
+    # A quoted cell reads as json.dumps would write it unless it holds '"',
+    # '\', a control or a non-ASCII character.  Cells here are digits, "p/q"
+    # rationals and %.15g hints, but every row is checked all the same: less
+    # _JSON_PLAIN, it must leave only the template's quotes, or this raises
+    # ValueError.
     counts = container == "counts"
-    fields = (f"      {json.dumps(c)}: {{{i}}}" for i, c in enumerate(columns) if c not in head)
-    template = "    {0}: {1}" if counts else "    {{\n" + ",\n".join(fields) + "\n    }}"
     opening, closing = "{}" if counts else "[]"
     yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
     yield f"  {json.dumps(container)}: {opening}"
-    sep = "\n"
-    for row in rows:
-        yield sep + template.format(*[json.dumps(v) if isinstance(v, str) else v for v in row])
-        sep = ",\n"
-    yield ("\n  " if sep == ",\n" else "") + closing + "\n}\n"
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        if counts:
+            template = '    "{0}": "{1}"'
+        else:
+            fields = (
+                f"      {json.dumps(c)}: " + ('"{%d:s}"' if isinstance(v, str) else "{%d:d}") % i
+                for i, (c, v) in enumerate(zip(columns, first)) if c not in head
+            )
+            template = "    {{\n" + ",\n".join(fields) + "\n    }}"
+        quotes = b'"' * template.count('"')
+        texts = starmap((",\n" + template).format, rows)
+        for text in chain(["\n" + template.format(*first)], texts):
+            if text.encode("ascii").translate(None, _JSON_PLAIN) != quotes:
+                raise ValueError("a string cell needs JSON escaping")
+            yield text
+        closing = "\n  " + closing
+    yield closing + "\n}\n"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    stream = enumerate((signed_rows if args.signed else unsigned_rows)(args.n))
-    cells = ((n, k, row.coefficient(k)) for n, row in stream for k in range(1, n + 2))
+    def row_cells(n, row):
+        counts = row.coeffs[1 : n + 2]  # k = 1..n+1; the x^(n+1) coefficient is 1
+        cells = zip(repeat(n), range(1, n + 2), map(str, counts))
+        return cells if args.dense else compress(cells, counts)
+
+    stream = (signed_rows if args.signed else unsigned_rows)(args.n)
     _write(args, ("n", "k", "count"), {
         "statistic": "signed_cycles" if args.signed else "unsigned_cycles",
-        "rows": ((n, k, str(v)) for n, k, v in cells if v or args.dense),
+        "rows": chain.from_iterable(starmap(row_cells, enumerate(stream))),
     })
     return 0
 
@@ -101,7 +133,7 @@ def _write_distribution(table: census.DistributionTable, args: argparse.Namespac
     _write(args, ("k", "count"), {
         "n": table.n,
         "statistic": table.statistic,
-        "counts": ((str(k), str(v)) for k, v in sorted(table.counts.items())),
+        "counts": sorted(table.counts.items()),
     })
 
 
@@ -198,7 +230,7 @@ _JOBS_HELP = "accepted for compatibility; has no effect"
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", metavar="PATH", default=None, help="write to file instead of stdout")
+    p.add_argument("--out", metavar="PATH", help="write to file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="exact means and variances for n = 1..N")
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--max-n", type=_int_at_least(1), required=True, dest="max_n")
+    p.add_argument("--max-n", type=_int_at_least(1), required=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_moments)
 
@@ -251,7 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=_SUITE_NAMES, required=True)
-    p.add_argument("--max-n", type=_int_at_least(0), default=None, dest="max_n")
+    p.add_argument(
+        "--max-n", type=_int_at_least(0),
+        help="largest n of the size-dependent checks only; others keep fixed sizes. "
+        "Each suite has its own default (verify.SUITES)",
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser

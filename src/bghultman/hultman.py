@@ -22,8 +22,10 @@ and is verified against the hook sum for n <= 120 and n = 150, not proved.
 Generating functions for both cases yield exact means and variances, which
 are also available directly as harmonic-number formulas.  The signed ones
 carry correction sums over the index set A_n, folded from one walk over A_n
-grouped by a - b (one rational scale times integer terms per group);
-signed_moments takes the mean and the variance from a single such walk.
+grouped by a - b: integer terms per group, times an integer numerator over
+one denominator shared by all groups.  signed_moments takes the mean and the
+variance from a single such walk as two integer sums, and builds no Fraction
+but the two it returns.
 
 All arithmetic is exact; any inexact internal division raises
 ExactnessError, which always indicates a bug rather than bad input.
@@ -414,42 +416,50 @@ def r_coefficient(n: int, a: int, b: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _r_groups(n: int) -> Iterator[tuple[int, Fraction, list[int]]]:
-    # The one walk over A_n: per k = a - b, the group's rational scale and its
-    # positive integer terms (a-1)!/(b-1)! * (2b-2)! * (n-a-b+2)! for b = 1, 2, ...,
-    # so r_n(k + b, b) = scale * terms[b - 1].  Each term follows from the one
-    # before by a small-integer ratio.
+def _r_groups(n: int) -> tuple[int, Iterator[tuple[int, int, list[int]]]]:
+    # The one walk over A_n: den, then per k = a - b the group's numerator
+    # and its positive integer terms (a-1)!/(b-1)! * (2b-2)! * (n-a-b+2)! for
+    # b = 1, 2, ..., so r_n(k + b, b) = num * terms[b - 1] / den.  Each term
+    # follows from the one before by a small-integer ratio.  Group k's own
+    # denominator is 2^(n-k-1) n! quartics[k]; den = 2^n n! lcm(quartics).
     if n < 0:
         raise ValueError("n must be >= 0")
     fact = [1] * (n + 3)
     for i in range(1, n + 3):
         fact[i] = fact[i - 1] * i
-    for k in range(0, n):
-        terms = []
-        term = fact[k] * fact[n - k]  # b = 1
-        for b in range(1, (n + 1 - k) // 2 + 1):
-            terms.append(term)
-            # term(b+1) / term(b) = (k+b) * 2(2b-1) / ((m+2)(m+1)).
-            m = n - k - 2 * b
-            if m > 0:
-                term = exact_div(term * (k + b) * 2 * (2 * b - 1), (m + 2) * (m + 1))
-        sign = -1 if (n + k) % 2 else 1
-        den = 2 ** (n - k - 1) * fact[n] * (n + k + 2) * (n + k + 1) * (n - k + 1) * (n - k)
-        yield k, Fraction(sign * (n + 1) * (2 * k + 1), den), terms
+    quartics = [(n + k + 2) * (n + k + 1) * (n - k + 1) * (n - k) for k in range(n)]
+    common = lcm(*quartics)
+
+    def groups() -> Iterator[tuple[int, int, list[int]]]:
+        for k, quartic in enumerate(quartics):
+            terms = []
+            term = fact[k] * fact[n - k]  # b = 1
+            for b in range(1, (n + 1 - k) // 2 + 1):
+                terms.append(term)
+                # term(b+1) / term(b) = (k+b) * 2(2b-1) / ((m+2)(m+1)).
+                m = n - k - 2 * b
+                if m > 0:
+                    term = exact_div(term * (k + b) * 2 * (2 * b - 1), (m + 2) * (m + 1))
+            sign = -1 if (n + k) % 2 else 1
+            yield k, sign * (n + 1) * (2 * k + 1) * 2 ** (k + 1) * (common // quartic), terms
+
+    return 2**n * fact[n] * common, groups()
 
 
 def r_sum(n: int) -> Fraction:
     """Sum of r_n(a, b) over the whole index set A_n.
 
-    One scale times one integer sum per group k = a - b of the shared walk;
-    term-by-term Fraction summation is too slow for n ~ 1000.
+    One integer sum per group k = a - b of the shared walk, over its one
+    denominator; term-by-term Fraction summation is too slow for n ~ 1000.
     """
-    return sum((scale * sum(terms) for _, scale, terms in _r_groups(n)), Fraction(0))
+    den, groups = _r_groups(n)
+    return Fraction(sum(num * sum(terms) for _, num, terms in groups), den)
 
 
 def r_abs_sum(n: int) -> Fraction:
     """Sum of |r_n(a, b)| over A_n; bounded by 2(1 - 2^-n)/(n+2)."""
-    return sum((abs(scale) * sum(terms) for _, scale, terms in _r_groups(n)), Fraction(0))
+    den, groups = _r_groups(n)
+    return Fraction(sum(abs(num) * sum(terms) for _, num, terms in groups), den)
 
 
 def signed_mean(n: int) -> Fraction:
@@ -470,27 +480,35 @@ def signed_moments(n: int) -> MomentPair:
     The mean is H_{2n+1} - H_n/2 - r_sum(n).  The variance weights r_n(a, b)
     by 2H_{2n+1} - H_n - 1 + 2H_{n-a-b+1} - 2H_{2a-1} + H_{a-1} - H_{b-1}.
     Every harmonic number here, the mean's included, is taken from
-    hnum[j] = den * H_j with den = lcm(1..2n+1) (harmonic_numerators): each
-    group's weighted sum is one integer, and the walk ends in one division
-    by den.
+    hnum[j] = hden * H_j with hden = lcm(1..2n+1) (harmonic_numerators), and
+    every r_n(a, b) is an integer over the walk's denominator rden: the walk
+    sums two integers, and the moments are the only Fractions built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    den, hnum = harmonic_numerators(2 * n + 1)
-    den_sq, sq = harmonic_numerators(2 * n + 1, 2)
-    const = 2 * hnum[2 * n + 1] - hnum[n] - den
-    rsum = weighted = Fraction(0)
-    for k, scale, terms in _r_groups(n):
+    hden, hnum = harmonic_numerators(2 * n + 1)
+    _, sq = harmonic_numerators(2 * n + 1, 2)  # over hden**2
+    const = 2 * hnum[2 * n + 1] - hnum[n] - hden
+    rden, groups = _r_groups(n)
+    rsum = weighted = 0
+    for k, num, terms in groups:
         inner = sum(terms)
         group = const * inner
         for b, term in enumerate(terms, 1):
             a = k + b
             group += term * (2 * hnum[n - a - b + 1] - 2 * hnum[2 * a - 1] + hnum[a - 1] - hnum[b - 1])
-        rsum += scale * inner
-        weighted += scale * group
-    base = Fraction(2 * hnum[2 * n + 1] - hnum[n], 2 * den)  # H_{2n+1} - H_n/2
-    odd_sq = Fraction(4 * sq[2 * n + 1] - sq[n], 4 * den_sq)  # sum of 1/(2k+1)^2, k <= n
-    return MomentPair(base - rsum, base - odd_sq - rsum * rsum + weighted / den)
+        rsum += num * inner
+        weighted += num * group
+    base = 2 * hnum[2 * n + 1] - hnum[n]  # (H_{2n+1} - H_n/2) * 2 hden
+    odd_sq = 4 * sq[2 * n + 1] - sq[n]  # (sum of 1/(2k+1)^2, k <= n) * 4 hden^2
+    # The variance is base/(2 hden) - odd_sq/(4 hden^2) - (rsum/rden)^2
+    # + weighted/(hden rden).
+    mean = Fraction(base * rden - 2 * hden * rsum, 2 * hden * rden)
+    variance = Fraction(
+        rden * (rden * (2 * hden * base - odd_sq) + 4 * hden * weighted) - 4 * (hden * rsum) ** 2,
+        4 * (hden * rden) ** 2,
+    )
+    return MomentPair(mean, variance)
 
 
 def sury_identity_check(n: int) -> tuple[Fraction, Fraction]:

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from math import factorial
 from pathlib import Path
 
@@ -237,6 +239,39 @@ class TestOutFile(object):
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real.name)
+        code, _, _ = run_cli(capsys, "table", "--n", "2", "--out", str(link))
+        _, expected, _ = run_cli(capsys, "table", "--n", "2")
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_text() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_symlink_loop_is_an_error(self, capsys, tmp_path):
+        (tmp_path / "a").symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+        code, out, err = run_cli(capsys, "table", "--n", "2", "--out", str(tmp_path / "a"))
+        assert code == 2 and out == "" and err.startswith("error: [Errno ")
+        assert all(p.is_symlink() for p in tmp_path.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, _, _ = run_cli(capsys, "moments", "--max-n", "3", "--out", str(fifo))
+        reader.join(timeout=10)
+        _, expected, _ = run_cli(capsys, "moments", "--max-n", "3")
+        assert code == 0 and received == [expected]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
     def test_failing_stream_keeps_old_file(self, tmp_path, monkeypatch):
         self.check_failing_stream(tmp_path, monkeypatch, "csv")
 
@@ -419,7 +454,7 @@ class TestJsonStream:
     @pytest.mark.parametrize("dense", [False, True])
     def test_table(self, capsys, signed, dense):
         flags = ["--signed"] * signed + ["--dense"] * dense
-        for n in range(13):
+        for n in [*range(13), 60]:
             code, out, _ = run_cli(capsys, "table", "--n", str(n), *flags, "--format", "json")
             assert (code, out) == (0, dumps(table_payload(n, signed, dense)))
 
@@ -468,6 +503,78 @@ class TestJsonStream:
         for command, payload in expected.items():
             code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
             assert (code, out) == (0, dumps(payload))
+
+    @pytest.mark.parametrize("cell", ['say "hi"', "back\\slash", '"', "\\", "tab\t", "\x00", "é"])
+    @pytest.mark.parametrize("container", ["rows", "counts"])
+    def test_string_cell_needing_escapes(self, container, cell):
+        # The template quotes string cells itself; a cell that json.dumps
+        # would escape must give json.dumps's bytes or raise, never bad JSON.
+        rows = [("1", "2"), ("3", cell)] if container == "counts" else [(1, "2"), (3, cell)]
+        if container == "counts":
+            payload = {"counts": dict(rows)}
+        else:
+            payload = {"rows": [{"k": k, "count": c} for k, c in rows]}
+        try:
+            text = "".join(cli._json_text(("k", "count"), {}, container, iter(rows)))
+        except ValueError:
+            return
+        assert text == dumps(payload)
+
+    def test_cell_type_differs_from_first_row(self):
+        for rows in ([(1, "2"), ("3", "4")], [(1, "2"), (3, 4)]):
+            with pytest.raises(ValueError):
+                "".join(cli._json_text(("k", "count"), {}, "rows", iter(rows)))
+
+
+# The CSV text as the CLI once wrote it, one ",".join(map(str, row)) line per
+# row under the header: the oracle for the template writer.  A payload's last
+# value holds the rows; a column missing from a row is a payload key.
+def csv_text(columns, payload):
+    body = list(payload.values())[-1]
+    if isinstance(body, dict):
+        rows = body.items()
+    else:
+        rows = ([row[c] if c in row else payload[c] for c in columns] for row in body)
+    return "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
+
+
+class TestCsvStream:
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_table(self, capsys, signed, dense):
+        flags = ["--signed"] * signed + ["--dense"] * dense
+        for n in [*range(13), 60]:
+            code, out, _ = run_cli(capsys, "table", "--n", str(n), *flags)
+            assert (code, out) == (0, csv_text(("n", "k", "count"), table_payload(n, signed, dense)))
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_moments(self, capsys, signed):
+        columns = ("n", "mean", "variance", "mean_float", "variance_float")
+        for max_n in [*range(1, 9), 30]:
+            code, out, _ = run_cli(capsys, "moments", "--max-n", str(max_n), *["--signed"] * signed)
+            assert (code, out) == (0, csv_text(columns, moments_payload(max_n, signed)))
+
+    @pytest.mark.parametrize("statistic", list(CENSUSES))
+    def test_census(self, capsys, statistic):
+        flags, build = CENSUSES[statistic]
+        for n in range(7):
+            code, out, _ = run_cli(capsys, "census", "--n", str(n), *flags)
+            assert (code, out) == (0, csv_text(("k", "count"), distribution_payload(build(n))))
+
+    @pytest.mark.parametrize("metric", DIST_METRICS)
+    def test_dist(self, capsys, metric):
+        for n in range(5):
+            code, out, _ = run_cli(capsys, "dist", "--metric", metric, "--n", str(n))
+            payload = distribution_payload(distances.distance_distribution(n, metric))
+            assert (code, out) == (0, csv_text(("k", "count"), payload))
+
+    @pytest.mark.parametrize("metric", sorted(distances.GENERATOR_SETS))
+    def test_compare(self, capsys, metric):
+        columns = ("k", "distance", "shifted", "offset")
+        for n in range(5):
+            code, out, _ = run_cli(capsys, "compare", "--metric", metric, "--n", str(n))
+            payload = compare_payload(distances.compare_to_shifted(n, metric))
+            assert (code, out) == (0, csv_text(columns, payload))
 
 
 # Spawns one command from a small interpreter, so that the reported max RSS
