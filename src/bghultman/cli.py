@@ -262,12 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_moments)
 
-    metric_names = list(distances.FORMULA_METRICS) + list(distances.BOUND_METRICS) + list(
-        distances.GENERATOR_SETS
-    )
-
     p = sub.add_parser("dist", help="distance or bound distribution at a single n")
-    p.add_argument("--metric", choices=metric_names, required=True)
+    p.add_argument("--metric", choices=[*distances.METRICS, *distances.GENERATOR_SETS], required=True)
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.add_argument("--force", action="store_true")

@@ -39,10 +39,11 @@ mirror), and below n = 3 for every unsigned set.  Signed sets are never
 shifted, and the three prefix sets expand every state.  Each image of a state
 found at a level is counted there without being expanded.
 
-Each cycle-based metric is one row of ``_METRICS``: its group (signed or
+Each cycle-based metric is one row of ``METRICS``: its group (signed or
 unsigned), the ``bpgraph.CYCLE_WEIGHTS`` row whose per-cycle sum it reads,
 and its formula in n and that sum.  The per-permutation functions, the
-census tallies and the closed-form tables all read that row.
+census tallies and the closed-form tables all read that row.  A distribution
+reads ``hultman.cycle_row`` if the weight row weighs every cycle 1, else the census.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import bpgraph
 from .census import DistributionTable, _run_census
 from .exactmath import exact_div
-from .hultman import _cycle_row
+from .hultman import cycle_row
 from .perm import PermutationError, SignedPermutation, check_size
 
 __all__ = [
@@ -72,8 +73,7 @@ __all__ = [
     "bound_distribution",
     "distance_distribution",
     "compare_to_shifted",
-    "FORMULA_METRICS",
-    "BOUND_METRICS",
+    "METRICS",
     "BFS_UNSIGNED_GUARD",
     "BFS_SIGNED_GUARD",
 ]
@@ -147,20 +147,21 @@ class GeneratorSet:
 
 GENERATOR_SETS: dict[str, GeneratorSet] = {name: GeneratorSet(name) for name in _CUT_GAPS}
 
-FORMULA_METRICS = ("bid", "dcj")
-BOUND_METRICS = ("srd_lower", "td_lower", "ptd_lower", "psrd_lower")
-
-
 class _Metric(NamedTuple):
     signed: bool  # the group the metric is defined on
     weight: str  # the bpgraph.CYCLE_WEIGHTS row whose per-cycle sum it reads
     value: Callable[[int, int], int]  # (n, weighted sum) -> metric value
 
+    @property
+    def closed_form(self) -> bool:
+        # Whether hultman.cycle_row, which counts cycles, gives the table.
+        return set(bpgraph.CYCLE_WEIGHTS[self.weight]) == {1}
+
 
 # One row per cycle-based metric.  The "c_minus_2c_1" sum is
 # c - 2*c_1 + 2*[first == 1] (bpgraph.CYCLE_WEIGHTS), which turns the
 # prefix bounds' [first != 1] term into a constant.
-_METRICS: dict[str, _Metric] = {
+METRICS: dict[str, _Metric] = {
     "bid": _Metric(False, "c", lambda n, c: exact_div(n + 1 - c, 2)),
     "dcj": _Metric(True, "c", lambda n, c: n + 1 - c),
     "srd_lower": _Metric(True, "c", lambda n, c: n + 1 - c),
@@ -171,9 +172,9 @@ _METRICS: dict[str, _Metric] = {
 
 
 def _metric_value(images: Sequence[int], metric: str) -> int:
-    if metric not in _METRICS:
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    signed, weight, value = _METRICS[metric]
+    signed, weight, value = METRICS[metric]
     if not signed and min(images, default=1) < 0:
         raise PermutationError(f"{metric} requires an unsigned permutation")
     return value(len(images), bpgraph.weighted_cycle_sum(images, weight))
@@ -339,32 +340,33 @@ def bfs_level_sizes(n: int, generator_set: str, force: bool = False) -> dict[int
 def bound_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:
     """Tally a cycle-based distance or bound over the whole group.
 
-    This is the enumeration route; for bid and dcj it must agree with the
-    closed-form tables from distance_distribution.
+    This is the enumeration route, behind the census guard; for a metric whose
+    weight row weighs every cycle 1 it must agree with distance_distribution.
     """
-    if metric not in _METRICS:
+    if metric not in METRICS:
         raise ValueError(f"unknown bound metric {metric!r}")
-    signed, weight, value = _METRICS[metric]
+    signed, weight, value = METRICS[metric]
     return _run_census(n, signed, weight, metric, force, partial(value, n))
 
 
 def distance_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:
     """Exact distribution of a distance or bound statistic at size n.
 
-    bid and dcj come from closed formulas and never hit a guard; the four
-    lower-bound statistics are tallied over the group; generator-set names
-    run the BFS oracle.
+    A weight row that weighs every cycle 1 (bid, dcj, srd_lower) reads the
+    closed-form cycle row, with no guard; other metrics are tallied by
+    bound_distribution; generator-set names run the BFS oracle.
     """
     if n < 0:
         raise ValueError(f"size must be >= 0, got {n}")
-    if metric in FORMULA_METRICS:
-        return DistributionTable(n, metric, _closed_form_counts(n, metric))
-    if metric in BOUND_METRICS:
-        return bound_distribution(n, metric, force=force)
     if metric in GENERATOR_SETS:
-        sizes = bfs_level_sizes(n, metric, force)
-        return DistributionTable(n, metric, sizes)
-    raise ValueError(f"unknown metric {metric!r}")
+        return DistributionTable(n, metric, bfs_level_sizes(n, metric, force))
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    row = METRICS[metric]
+    if not row.closed_form:
+        return bound_distribution(n, metric, force=force)
+    counts = cycle_row(n, row.signed).coeffs
+    return DistributionTable(n, metric, {row.value(n, c): v for c, v in enumerate(counts) if v})
 
 
 class ComparisonResult:
@@ -387,13 +389,6 @@ class ComparisonResult:
         self.total_variation, self.rows = total_variation, rows
 
 
-def _closed_form_counts(n: int, metric: str) -> dict[int, int]:
-    # {value(n, c): count} over the nonzero coefficients of the closed-form
-    # row, for a metric whose weight is c itself.
-    signed, _, value = _METRICS[metric]
-    return {value(n, c): v for c, v in enumerate(_cycle_row(n, signed).coeffs) if v}
-
-
 def compare_to_shifted(n: int, metric: str, force: bool = False) -> ComparisonResult:
     """Fit a shifted cycle-count table to a BFS distance distribution.
 
@@ -402,14 +397,14 @@ def compare_to_shifted(n: int, metric: str, force: bool = False) -> ComparisonRe
     toward the smaller offset.
     """
     dist = bfs_level_sizes(n, metric, force)
-    # Offset m shifts the cycle-count index, and so the distance, by m/step;
-    # the unsigned table has no mass at an odd offset.
+    # Offset m shifts the cycle-count index, so count c lands at distance
+    # (n+1-c+m)/step; the unsigned row has no mass at an odd offset.
     signed = GENERATOR_SETS[metric].signed
     step = 1 if signed else 2
-    table = _closed_form_counts(n, "dcj" if signed else "bid")
+    row = cycle_row(n, signed).coeffs
 
     def shifted_counts(m: int) -> dict[int, int]:
-        return {} if m % step else {k + m // step: v for k, v in table.items()}
+        return {} if m % step else {(n + 1 - c + m) // step: v for c, v in enumerate(row) if v}
 
     def total_variation(m: int) -> int:
         shifted = shifted_counts(m)

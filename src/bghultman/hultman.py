@@ -59,6 +59,7 @@ __all__ = [
     "hultman_new_formula",
     "unsigned_rows",
     "signed_rows",
+    "cycle_row",
     "f_lambda_poly",
     "f_lambda_deriv_at_zero",
     "c_lambda",
@@ -152,7 +153,7 @@ def hultman_bona_flynn(n: int, k: int) -> int:
     Equals the Stirling number [n+2, k] / C(n+2, 2) when n - k is odd, else 0;
     the division is always exact.  Read from row n of unsigned_rows.
     """
-    return _cycle_row(n, False).coefficient(k)
+    return cycle_row(n, False).coefficient(k)
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +314,8 @@ def signed_rows(max_n: int) -> Iterator[Polynomial]:
         yield row
 
 
-def _cycle_row(n: int, signed: bool) -> Polynomial:
+def cycle_row(n: int, signed: bool) -> Polynomial:
+    """Row n of unsigned_rows or signed_rows: the count of each cycle number c."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return deque(signed_rows(n) if signed else unsigned_rows(n), maxlen=1)[0]
@@ -324,7 +326,7 @@ def signed_hultman(n: int, k: int) -> int:
 
     Read from row n of signed_rows, the recurrence route to signed_gf(n).
     """
-    return _cycle_row(n, True).coefficient(k)
+    return cycle_row(n, True).coefficient(k)
 
 
 def signed_hultman_special(n: int, k: int) -> int:

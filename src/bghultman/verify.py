@@ -153,14 +153,15 @@ def lemmas(max_n: int) -> Checks:
 
 
 def bounds(max_n: int) -> Checks:
-    for metric, top, detail in (
-        ("bid", 7, "tally equals shifted unsigned table"),
-        ("dcj", 5, "tally equals shifted signed table"),
-    ):
+    # Every metric that distance_distribution reads off the closed-form row.
+    for metric, row in distances.METRICS.items():
+        if not row.closed_form:
+            continue
+        group, top = ("signed", 5) if row.signed else ("unsigned", 7)
         for n in range(0, min(max_n, top) + 1):
             tally = distances.bound_distribution(n, metric)
             ok = tally == distances.distance_distribution(n, metric)
-            yield f"bounds.{metric}_shift_n{n}", ok, detail
+            yield f"bounds.{metric}_shift_n{n}", ok, f"tally equals shifted {group} table"
     # Block-interchange distance is (n+1-c)/2 (Christie 1996), so the BFS
     # levels must equal the closed-form bid row at every size it reaches.
     for n in range(0, distances.BFS_UNSIGNED_GUARD + 1):

@@ -84,11 +84,11 @@ _TABLES = {
     "unsigned_odd_cycles": (False, _odd_cycle_count, odd_hultman_census),
     **{
         metric: (
-            distances._METRICS[metric].signed,
+            distances.METRICS[metric].signed,
             partial(distances._metric_value, metric=metric),
             partial(distances.bound_distribution, metric=metric),
         )
-        for metric in distances.FORMULA_METRICS + distances.BOUND_METRICS
+        for metric in distances.METRICS
     },
 }
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -168,6 +169,13 @@ class TestDist:
         _, rows = parse_csv(out)
         assert sum(int(v) for _, v in rows) == 6
 
+    def test_srd_lower_past_census_guard(self, capsys):
+        # srd_lower is n+1-c like dcj, so it reads the same closed-form row.
+        n = str(census.SIGNED_CENSUS_GUARD + 1)
+        code, out, _ = run_cli(capsys, "dist", "--metric", "srd_lower", "--n", n)
+        _, dcj_out, _ = run_cli(capsys, "dist", "--metric", "dcj", "--n", n)
+        assert (code, out) == (0, dcj_out)
+
     def test_bfs_metric(self, capsys):
         _, out, _ = run_cli(capsys, "dist", "--metric", "signed_reversal", "--n", "3")
         _, rows = parse_csv(out)
@@ -186,6 +194,25 @@ class TestDist:
         code, out, err = run_cli(capsys, *argv.split(), "--force")
         assert (code, out) == (2, "")
         assert err == f"error: {name} BFS stores states as bytes, so n must be below 128, got {n}\n"
+
+
+def metric_choices(command):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return next(a.choices for a in sub.choices[command]._actions if "--metric" in a.option_strings)
+
+
+def test_metric_choices_are_pinned():
+    # Their order is the order of `--help` and of argparse's error text.
+    assert metric_choices("dist") == [
+        "bid", "dcj", "srd_lower", "td_lower", "ptd_lower", "psrd_lower",
+        "reversal", "prefix_reversal", "transposition", "prefix_transposition",
+        "block_interchange", "signed_reversal", "prefix_signed_reversal",
+    ]
+    assert metric_choices("compare") == [
+        "block_interchange", "prefix_reversal", "prefix_signed_reversal",
+        "prefix_transposition", "reversal", "signed_reversal", "transposition",
+    ]
 
 
 class TestCompare:
@@ -444,9 +471,7 @@ CENSUSES = {
     "signed": (["--signed"], census.signed_hultman_census),
     "odd": (["--statistic", "odd"], census.odd_hultman_census),
 }
-DIST_METRICS = (
-    list(distances.FORMULA_METRICS) + list(distances.BOUND_METRICS) + list(distances.GENERATOR_SETS)
-)
+DIST_METRICS = [*distances.METRICS, *distances.GENERATOR_SETS]
 
 
 class TestJsonStream:

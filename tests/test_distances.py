@@ -21,7 +21,8 @@ from bghultman.distances import (
     srd_lower,
     td_lower,
 )
-from bghultman.hultman import _cycle_row
+from bghultman.exactmath import Polynomial
+from bghultman.hultman import cycle_row
 from bghultman.perm import (
     GuardError,
     PermutationError,
@@ -165,8 +166,8 @@ class TestFormulaDistances:
             ptd_lower(validate([-1, 2]))
         # One row per cycle-based metric; the private route enforces the
         # unsigned ones too.
-        assert list(D._METRICS) == [*D.FORMULA_METRICS, *D.BOUND_METRICS]
-        unsigned = [m for m, row in D._METRICS.items() if not row.signed]
+        assert list(D.METRICS) == ["bid", "dcj", "srd_lower", "td_lower", "ptd_lower", "psrd_lower"]
+        unsigned = [m for m, row in D.METRICS.items() if not row.signed]
         assert unsigned == ["bid", "td_lower", "ptd_lower"]
         for metric in unsigned:
             with pytest.raises(PermutationError):
@@ -187,6 +188,27 @@ class TestDistributions:
             assert bound_distribution(n, "bid") == distance_distribution(n, "bid")
         for n in range(0, 5):
             assert bound_distribution(n, "dcj") == distance_distribution(n, "dcj")
+            assert bound_distribution(n, "srd_lower") == distance_distribution(n, "srd_lower")
+
+    def test_route_follows_the_weight_row(self):
+        # A metric whose weight row weighs every cycle 1 reads the closed-form
+        # row; every other one is tallied behind the census guard.
+        closed = [m for m, row in D.METRICS.items() if row.closed_form]
+        assert closed == ["bid", "dcj", "srd_lower"]
+        for metric in D.METRICS.keys() - closed:
+            guard = SIGNED_CENSUS_GUARD if D.METRICS[metric].signed else UNSIGNED_CENSUS_GUARD
+            with pytest.raises(GuardError):
+                distance_distribution(guard + 1, metric)
+
+    def test_srd_lower_reads_the_closed_form(self):
+        # srd_lower and dcj are both n+1-c on the signed group, so they have
+        # one table, past the census guard too.
+        assert SIGNED_CENSUS_GUARD + 1 <= 40
+        for n in range(41):
+            dcj_counts = distance_distribution(n, "dcj").counts
+            assert distance_distribution(n, "srd_lower").counts == dcj_counts, n
+        with pytest.raises(GuardError):
+            bound_distribution(SIGNED_CENSUS_GUARD + 1, "srd_lower")
 
     @pytest.mark.parametrize(
         "metric, signed, max_n", [("ptd_lower", False, 7), ("psrd_lower", True, 6)]
@@ -484,7 +506,7 @@ class TestCompare:
     def test_tie_goes_to_smallest_offset(self, monkeypatch):
         # With every shifted family empty, all offsets tie at the full group
         # mass, and the docstring promises the smallest one.
-        monkeypatch.setattr(D, "_closed_form_counts", lambda n, metric: {})
+        monkeypatch.setattr(D, "cycle_row", lambda n, signed: Polynomial.zero())
         result = compare_to_shifted(3, "transposition")
         assert result.offset == -4
         assert result.total_variation == factorial(3)
@@ -493,7 +515,7 @@ class TestCompare:
         # The shifted family by its definition: at offset m, distance k gets
         # the count of c = n+1-k+m (signed) or n+1-2k+m (unsigned).
         def family(n, signed, m):
-            row = _cycle_row(n, signed)
+            row = cycle_row(n, signed)
             step = 1 if signed else 2
             counts = {}
             for k in range(-(2 * n + 2), 2 * n + 3):
@@ -502,14 +524,19 @@ class TestCompare:
                     counts[k] = v
             return counts
 
-        # compare shifts one closed-form table: by m/step keys, or to nothing.
-        for gset in GENERATOR_SETS.values():
+        # The family is the closed-form distance table shifted by m/step, or
+        # nothing, and compare reports it at the offset it picks.
+        for name, gset in GENERATOR_SETS.items():
             step = 1 if gset.signed else 2
             for n in range(7):
-                table = D._closed_form_counts(n, "dcj" if gset.signed else "bid")
+                table = distance_distribution(n, "dcj" if gset.signed else "bid").counts
                 for m in range(-(n + 1), n + 2):
                     shifted = {} if m % step else {k + m // step: v for k, v in table.items()}
                     assert shifted == family(n, gset.signed, m)
+            for n in range(5):
+                result = compare_to_shifted(n, name)
+                shifted = {k: s for k, _, s in result.rows if s}
+                assert shifted == family(n, gset.signed, result.offset), (name, n)
         result = compare_to_shifted(4, "prefix_reversal")
         dist = bfs_level_sizes(4, "prefix_reversal")
         for m in range(-5, 6):

@@ -90,6 +90,32 @@ def test_cycle_weights_are_spelled_once():
     assert compares == []
 
 
+def test_metric_names_are_spelled_once():
+    # A metric's route follows its METRICS row, never its name: in distances
+    # a metric's name is a METRICS key, an __all__ entry or the name its own
+    # function passes on, and no other string constant.
+    names = set(bghultman.distances.METRICS)
+    path = Path(bghultman.__file__).parent / "distances.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            nodes = [n for n in ast.walk(stmt) if getattr(n, "value", None) == stmt.name]
+        elif isinstance(stmt, ast.Assign) and stmt.targets[0].id == "__all__":
+            nodes = stmt.value.elts
+        elif isinstance(stmt, ast.AnnAssign) and stmt.target.id == "METRICS":
+            nodes = stmt.value.keys
+        else:
+            continue
+        allowed.update(map(id, nodes))
+    spelled = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names and id(node) not in allowed
+    ]
+    assert spelled == []
+
+
 def test_no_library_call_to_r_coefficient():
     # r_coefficient is the per-term reference; the library walks A_n only in
     # hultman._r_groups.
@@ -161,7 +187,6 @@ def test_every_public_name_has_a_caller():
 # Private names one library module still reads from another.
 ALLOWED_REACH_INS = {
     "distances -> census._run_census",  # the census runner behind bound_distribution
-    "distances -> hultman._cycle_row",  # the closed-form row that bid and dcj read
     "verify -> distances._metric_value",  # the per-permutation bound check
 }
 
