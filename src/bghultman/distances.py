@@ -20,11 +20,13 @@ the same set whether each word is built from the left or from the right, so
 the two balls of every radius around the identity agree.
 
 The BFS expands one state of each orbit of the symmetries that map the
-generator set onto itself, checked on the generators at each size.  The
-mirror of s is w0 s w0, its conjugate by the reversal w0: s read backwards,
-each value v replaced by sgn(v) * (n + 1 - |v|).  (In the signed group
-conjugating by -w0 is the same, since -id is central.)  It commutes with the
-move, mirror(g s) = mirror(g) mirror(s).  The toric shift phi_m of an
+generator set onto itself.  The candidates are the mirror, for every set,
+and the toric shifts, for unsigned sets; one closure check on the generators
+at each size keeps those that hold.  The mirror of s is w0 s w0, its
+conjugate by the reversal w0: s read backwards, each value v replaced by
+sgn(v) * (n + 1 - |v|).  (In the signed group conjugating by -w0 is the
+same, since -id is central.)  It commutes with the move,
+mirror(g s) = mirror(g) mirror(s).  The toric shift phi_m of an
 unsigned s frames it as (0 s) on Z_{n+1}, reads the frame from position m
 and subtracts the value there: phi_m(s)(i) = s(i+m) - s(m) mod n+1
 (Eriksson et al., Discrete Math. 2001).  It satisfies
@@ -35,9 +37,9 @@ and fixes the identity, and s and phi_m(s) lie at the same distance.  The
 mirror holds from n = 3 on for reversals, transpositions, block interchanges
 and signed reversals; the shifts hold for transpositions and block
 interchanges (toric classes of up to n + 1 permutations, 2n + 2 with the
-mirror), and below n = 3 for every unsigned set.  Signed sets are never
-shifted, and the three prefix sets expand every state.  Each image of a state
-found at a level is counted there without being expanded.
+mirror), and below n = 3 for every unsigned set.  From n = 3 on the three
+prefix sets expand every state.  Each image of a state found at a level is
+counted there without being expanded.
 
 Each cycle-based metric is one row of ``METRICS``: its group (signed or
 unsigned), the ``bpgraph.CYCLE_WEIGHTS`` row whose per-cycle sum it reads,
@@ -224,20 +226,6 @@ def _value_tables(name: str, n: int) -> tuple[bytes, ...]:
     return tuple(tables)
 
 
-def _mirror_table(name: str, n: int) -> bytes | None:
-    # The bytes.translate table of the mirror s -> w0 s w0 on values: the
-    # code of v maps to the code of sgn(v) * (n + 1 - |v|), and the state is
-    # read backwards.  None unless the mirror maps the generator set onto
-    # itself, which is checked on the generators, not declared per set.
-    table = bytearray(range(256))
-    for v in range(1, n + 1):
-        table[n + v] = 2 * n + 1 - v
-        table[n - v] = v - 1
-    flip = bytes(table)
-    codes = {bytes([n + v for v in g]) for g in _generators(name, n)}
-    return flip if {code[::-1].translate(flip) for code in codes} == codes else None
-
-
 def _toric_images(state: bytes, subtract: tuple[bytes, ...]) -> list[bytes]:
     # Every toric shift of an unsigned state: frame it as (0 s), read the
     # frame cyclically from position m, subtract the value read there mod
@@ -251,42 +239,38 @@ def _toric_images(state: bytes, subtract: tuple[bytes, ...]) -> list[bytes]:
     return [doubled[m + 1 : m + n + 1].translate(subtract[a - n]) for m, a in enumerate(framed)]
 
 
-def _shift_tables(name: str, n: int) -> tuple[bytes, ...] | None:
-    # The subtract tables of _toric_images, or None unless every toric shift
-    # maps every generator back into the set, which is checked on the
-    # generators, not declared per set.  Signed sets are never shifted.
-    if GeneratorSet(name).signed:
-        return None
-    subtract = []
-    for a in range(n + 1):
-        table = bytearray(range(256))
-        table[n : 2 * n + 1] = [n + (v - a) % (n + 1) for v in range(n + 1)]
-        subtract.append(bytes(table))
-    codes = {bytes([n + v for v in g]) for g in _generators(name, n)}
-    closed = all(codes.issuperset(_toric_images(code, subtract)) for code in codes)
-    return tuple(subtract) if closed else None
-
-
 def _bfs_moves(
     n: int, name: str, force: bool
 ) -> tuple[tuple[bytes, ...], Callable[[bytes], Iterable[bytes]] | None]:
     # The checks every BFS makes before it builds anything, then its move
-    # tables (see _value_tables) and its orbit map: a state's images under
-    # the toric shifts and the mirror that map the generators onto
-    # themselves, the state included, or None if neither does.
+    # tables (see _value_tables) and its orbit map, or None.  Each candidate
+    # symmetry maps a state to a list of its images, the state first: the
+    # toric shifts for unsigned sets, and the mirror for every set, whose
+    # table maps v to sgn(v) * (n + 1 - |v|) by reversing the positive codes
+    # and the negative ones.  A candidate is kept when it maps the generators
+    # onto themselves, which is checked at this size, not declared per set.
     gset = GeneratorSet(name)
     check_size(n, BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD, force, f"{name} BFS")
     if n >= 128:
         raise ValueError(f"{name} BFS stores states as bytes, so n must be below 128, got {n}")
-    flip, subtract = _mirror_table(name, n), _shift_tables(name, n)
-    if subtract is None:
-        orbit = None if flip is None else lambda s: (s, s[::-1].translate(flip))
-    else:
-        def orbit(state: bytes) -> list[bytes]:
-            images = _toric_images(state, subtract)
-            if flip is not None:
-                images += [s[::-1].translate(flip) for s in images]
-            return images
+    positive, negative = bytes(range(n + 1, 2 * n + 1)), bytes(range(n))
+    flip = bytes.maketrans(negative + positive, negative[::-1] + positive[::-1])
+    frame = bytes(range(n, 2 * n + 1))
+    subtract = tuple(bytes.maketrans(frame, frame[-a:] + frame[:-a]) for a in range(n + 1))
+    shifts = partial(_toric_images, subtract=subtract)
+
+    def mirror(state: bytes) -> list[bytes]:
+        return [state, state[::-1].translate(flip)]
+
+    def shifts_then_mirror(state: bytes) -> list[bytes]:
+        images = _toric_images(state, subtract)
+        images += [s[::-1].translate(flip) for s in images]
+        return images
+
+    codes = {bytes([n + v for v in g]) for g in _generators(name, n)}
+    candidates = [mirror] if gset.signed else [shifts, mirror]
+    kept = [f for f in candidates if all(codes.issuperset(f(code)) for code in codes)]
+    orbit = shifts_then_mirror if len(kept) == 2 else kept[0] if kept else None
     return _value_tables(name, n), orbit
 
 

@@ -15,10 +15,12 @@ falling-factorial route slides its window of factors the same way.
 Tables and checks iterate one uncached row stream per group: unsigned_rows
 adds one factor per row to x(x+1)...(x+n+1), and signed_rows is a second
 route to signed_gf, a four-term recurrence (n+2) P_n = c_1 P_{n-1} + ... +
-c_4 P_{n-4} with small polynomial coefficients c_i(n, x), from P_0..P_3: O(n)
+c_4 P_{n-4} with small polynomial coefficients c_i(n, x), from P_0..P_2: O(n)
 coefficient operations per row instead of O(n^3).  The recurrence was found
 by guessing (scripts/guess_recurrence.py, linear algebra over signed_gf(0..16))
-and is verified against the hook sum for n <= 120 and n = 150, not proved.
+and is not proved.  The tests check it against the hook sum for n <= 40 and
+n = 60, 80, 100, 120, and `verify --suite formulas` for n <= 40; every n <= 120
+and n = 150 were checked once by hand.
 Generating functions for both cases yield exact means and variances, which
 are also available directly as harmonic-number formulas.  The signed ones
 carry correction sums over the index set A_n, folded from one walk over A_n
@@ -274,9 +276,10 @@ def signed_gf(n: int) -> Polynomial:
     return Polynomial(tuple(exact_div(c, den) for c in total.coeffs))
 
 
-# P_0..P_3, the rows the recurrence in signed_rows starts from, as
-# coefficient tuples in ascending powers of x.
-_SIGNED_SEEDS = ((0, 1), (0, 1, 1), (0, 4, 3, 1), (0, 20, 21, 6, 1))
+# P_0..P_2, the rows the recurrence in signed_rows starts from, as
+# coefficient tuples in ascending powers of x.  P_3 follows from them, since
+# c_4 carries the factor n - 3.
+_SIGNED_SEEDS = ((0, 1), (0, 1, 1), (0, 4, 3, 1))
 
 
 def _signed_steps(n: int) -> tuple[tuple[int, ...], ...]:
@@ -299,8 +302,9 @@ def _signed_steps(n: int) -> tuple[tuple[int, ...], ...]:
 def signed_rows(max_n: int) -> Iterator[Polynomial]:
     """Rows n = 0..max_n of signed counts, each equal to signed_gf(n).
 
-    Past the seeds, row n comes from the last four by _signed_steps; its
-    exact division by n+2 makes a wrong seed or step raise ExactnessError.
+    Past the seeds, row n comes from the last four by _signed_steps (from
+    three at n = 3, where c_4 vanishes); its exact division by n+2 makes a
+    wrong seed or step raise ExactnessError.
     """
     last: deque[Polynomial] = deque(maxlen=4)
     for n in range(max_n + 1):

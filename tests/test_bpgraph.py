@@ -246,3 +246,9 @@ class TestRelabeling:
 def test_negative_size_rejected(build):
     with pytest.raises(ValueError, match="must be >= 0"):
         build(-1)
+
+
+@pytest.mark.parametrize("union", [bg.union_cycle_lengths, bg.union_cycle_count])
+def test_union_of_mismatched_sizes_is_rejected(union):
+    with pytest.raises(ValueError, match="different vertex sets"):
+        union((1, 0), (1, 0, 3, 2))

@@ -311,7 +311,7 @@ class TestOutFile(object):
         target = tmp_path / f"x.{fmt}"
         target.write_bytes(b"old\n")
         seeds = [list(seed) for seed in hultman._SIGNED_SEEDS]
-        seeds[3][1] += 1
+        seeds[2][1] += 1
         monkeypatch.setattr(hultman, "_SIGNED_SEEDS", tuple(map(tuple, seeds)))
         with pytest.raises(ExactnessError):
             main(["table", "--signed", "--n", "30", "--format", fmt, "--out", str(target)])
@@ -360,6 +360,22 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, option, text",
+        [
+            ("table --n x", "--n", "x"),
+            ("census --n 3.5", "--n", "3.5"),
+            ("moments --max-n ten", "--max-n", "ten"),
+        ],
+    )
+    def test_non_integer_rejected(self, capsys, argv, option, text):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        message = f"error: argument {option}: expected an integer, got {text!r}"
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"hultman {argv.split()[0]}: {message}"
+        ]
 
     def test_library_value_error_is_one_line(self, capsys, monkeypatch):
         def reject(*args, **kwargs):

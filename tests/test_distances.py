@@ -124,6 +124,8 @@ def _shift(t, m):
     return tuple([(framed[(i + m) % (n + 1)] - framed[m]) % (n + 1) for i in range(1, n + 1)])
 
 
+TORIC_SETS = ("transposition", "block_interchange")
+
 SLICING_MOVES = {
     "reversal": _reversal_moves,
     "prefix_reversal": _prefix_reversal_moves,
@@ -355,25 +357,39 @@ class TestBFS:
                 assert dist == _tuple_bfs(gset, tuple(range(1, n + 1))), (name, n)
                 assert bfs_level_sizes(n, name) == Counter(dist.values()), (name, n)
 
+    @staticmethod
+    def _check_orbit_length(name, n):
+        # The length of a state's orbit list under the BFS's orbit map: 1,
+        # with no map, when no symmetry is kept, 2 for the mirror alone,
+        # n + 1 for the toric shifts alone and 2(n + 1) for both.  The
+        # expected length comes from two facts.  Conjugation by the reversal
+        # maps a set's generators onto themselves for every set below n = 2,
+        # at n = 2 for all but prefix signed reversals, and from n = 3 on
+        # exactly for the four sets that are not prefix sets.  Every toric
+        # shift maps them back into the set for transpositions and block
+        # interchanges, and for every unsigned set below n = 3; signed sets
+        # are never shifted.
+        state = bytes(range(n + 1, 2 * n + 1))
+        orbit = D._bfs_moves(n, name, True)[1]
+        images = [state] if orbit is None else orbit(state)
+        assert images[0] == state, (name, n)
+        prefix = name.startswith("prefix_")
+        mirror = n < 2 or not prefix or n == 2 and name != "prefix_signed_reversal"
+        toric = not GENERATOR_SETS[name].signed and (name in TORIC_SETS or n <= 2)
+        assert len(images) == (n + 1 if toric else 1) * (2 if mirror else 1), (name, n)
+
     def test_mirror_closure_is_derived(self):
-        # Conjugation by the reversal maps a set's generators onto themselves
-        # exactly for the four sets that are not prefix sets.
+        # The sets never shifted from n = 3 on, whose orbits from there on
+        # are the mirror pairs or single states.
         for name in GENERATOR_SETS:
-            for n in range(3, 9):
-                closed = D._mirror_table(name, n) is not None
-                assert closed == (not name.startswith("prefix_")), (name, n)
-        for name in GENERATOR_SETS:
-            assert D._mirror_table(name, 1) is not None, name
+            if name not in TORIC_SETS:
+                for n in range(0, 9):
+                    self._check_orbit_length(name, n)
 
     def test_toric_closure_is_derived(self):
-        # Every toric shift maps a set's generators back into the set exactly
-        # for transpositions and block interchanges from n = 3 on, and for
-        # every unsigned set below that; signed sets are never shifted.
-        for name, gset in GENERATOR_SETS.items():
+        for name in TORIC_SETS:
             for n in range(0, 9):
-                closed = D._shift_tables(name, n) is not None
-                toric = name in ("transposition", "block_interchange") or n <= 2
-                assert closed == (toric and not gset.signed), (name, n)
+                self._check_orbit_length(name, n)
 
     def test_levels_expand_one_state_per_orbit(self):
         # The mirror w0 s w0, and for unsigned sets the toric shifts, are

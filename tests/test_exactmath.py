@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
@@ -231,3 +232,13 @@ class TestPolynomialRing:
         assert exact_div(p, Polynomial((2, 1))) == linear_product([1, 3])
         with pytest.raises(ExactnessError):
             exact_div(p, Polynomial((4, 1)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [partial(rising_factorial_poly, -1), partial(shifted_falling_factorial_poly, 0, -1)],
+    ids=["rising_factorial_poly", "shifted_falling_factorial_poly"],
+)
+def test_negative_length_is_rejected(build):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        build()

@@ -430,3 +430,21 @@ def test_signed_nonnegative_and_bounded(n, k):
     assert value >= 0
     if k < 1 or k > n + 1:
         assert value == 0
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("hultman_new_formula", (-1, 0)),
+        ("signed_gf", (-1,)),
+        ("unsigned_gf", (-1,)),
+        ("unsigned_mean", (-1,)),
+        ("unsigned_variance", (-1,)),
+        ("signed_mean", (-1,)),
+        ("signed_moments", (-1,)),
+        ("sury_identity_check", (-1,)),
+    ],
+)
+def test_negative_n_is_rejected(name, args):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        getattr(hultman, name)(*args)

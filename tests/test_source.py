@@ -1,5 +1,12 @@
 import ast
+import hashlib
+import json
+import os
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 import bghultman
 from bghultman import cli, verify
@@ -16,6 +23,48 @@ def test_library_parses_on_declared_floor():
     assert library and scripts
     for path in library + scripts:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)
+
+
+def _floor_interpreter():
+    # python3.10 on PATH, else a pyenv install; a candidate counts only if it
+    # runs and reports 3.10, which an inactive pyenv shim does not.
+    installs = sorted(Path.home().glob(".pyenv/versions/3.10*/bin/python3.10"))
+    for exe in filter(None, [shutil.which("python3.10"), *map(str, installs)]):
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(*sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.split() == [str(v) for v in FLOOR]:
+            return exe
+    return None
+
+
+def test_commands_run_on_declared_floor(capsys):
+    # The benchmark self-test's tiny commands against their recorded digests,
+    # and a transposition BFS, which takes the toric orbits, against this
+    # interpreter's output.
+    exe = _floor_interpreter()
+    if exe is None:
+        pytest.skip("no Python 3.10 interpreter found")
+    selftest = ast.parse((ROOT / "perfbench" / "selftest.py").read_text(encoding="utf-8"))
+    tiny = next(
+        ast.literal_eval(node.value)
+        for node in selftest.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TINY"
+    )
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    assert cli.main(["dist", "--metric", "transposition", "--n", "6"]) == 0
+    toric = capsys.readouterr().out.encode()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for command in [*tiny, "dist --metric transposition --n 6"]:
+        run = subprocess.run(
+            [exe, "-m", "bghultman", *command.split()], capture_output=True, env=env, timeout=120
+        )
+        assert (run.returncode, run.stderr) == (0, b""), command
+        if command in digests:
+            assert hashlib.sha256(run.stdout).hexdigest() == digests[command], command
+        else:
+            assert run.stdout == toric, command
 
 
 class _RaiseSites(ast.NodeVisitor):
@@ -223,7 +272,8 @@ CACHED = {
     "bpgraph.grey_matching",  # cycle_lengths_images, once per permutation verify checks
     "hultman._falling_sum_poly",  # hultman_new_formula, once per k of a row
     # GeneratorSet.moves, once per state of the tests' _tuple_bfs and of
-    # perfbench's move timing; _value_tables, once per BFS run.
+    # perfbench's move timing; _bfs_moves's closure check and _value_tables,
+    # twice per BFS run.
     "distances._generators",
 }
 
