@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .perm import SignedPermutation, validate
+from .perm import SignedPermutation, check_nonnegative, validate
 
 __all__ = [
     "InvalidConfigurationError",
@@ -76,23 +76,20 @@ def matching_from_pairs(pairs: Iterable[tuple[int, int]], size: int | None = Non
 @lru_cache(maxsize=None)
 def grey_matching(n: int) -> tuple[int, ...]:
     """The fixed grey matching {2i, 2i+1} on 0..2n+1: v's partner is v XOR 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     return tuple(v ^ 1 for v in range(2 * n + 2))
 
 
 def grey_complement_matching(n: int) -> tuple[int, ...]:
     """The shifted matching {2i-1, 2i} for 1 <= i <= n, plus {0, 2n+1}."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     inner = (v + 1 if v % 2 else v - 1 for v in range(1, 2 * n + 1))
     return (2 * n + 1, *inner, 0)
 
 
 def identity_matching(m: int) -> tuple[int, ...]:
     """The matching {i, m+i} on 0..2m-1."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    check_nonnegative(m, "m")
     return tuple(v + m if v < m else v - m for v in range(2 * m))
 
 
@@ -102,8 +99,7 @@ def mu_relabeling(m: int) -> tuple[int, ...]:
     Conjugating by this map carries the grey matching onto identity_matching(m)
     and the shifted grey complement onto a fixed hamiltonian partner of it.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    check_nonnegative(m, "m")
     return tuple(i // 2 if i % 2 == 0 else (i + 2 * m - 1) // 2 for i in range(2 * m))
 
 
@@ -124,8 +120,7 @@ def iter_partner_tuples(m: int) -> Iterator[tuple[int, ...]]:
     Deterministic order: the smallest unmatched vertex is paired first, with
     its partner chosen in ascending order.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    check_nonnegative(m, "m")
     size = 2 * m
     partner = [-1] * size
 
@@ -187,8 +182,7 @@ class Configuration:
     __slots__ = ("n", "black")
 
     def __init__(self, n: int, black: tuple[int, ...]) -> None:
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        check_nonnegative(n)
         size = 2 * n + 2
         # A perfect matching of 0..2n+1 is a fixed-point-free involution of it.
         if len(black) != size or not all(

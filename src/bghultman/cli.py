@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from itertools import chain, compress, repeat, starmap
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import census, distances
 from .hultman import signed_moments, signed_rows, unsigned_moments, unsigned_rows
@@ -233,8 +233,15 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write to file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    # A rejected command line is one line on stderr, without the usage text;
+    # add_subparsers builds every subcommand's parser from this class too.
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hultman",
         description="Exact breakpoint-graph cycle statistics and rearrangement distances",
     )

@@ -9,15 +9,16 @@ whole group from the identity, for any of the supported generator sets.
 BFS levels double as exact distance distributions at desk scale.
 
 The BFS functions take a generator set by name.  Each set is built once
-per size as a tuple of signed image tuples.  ``GeneratorSet.moves`` is right
-multiplication t -> compose(t, g): the new state picks its entries, some
-negated, from fixed positions of the old one.  The BFS walks by left
-multiplication s -> compose(g, s) instead, which relabels the values of s
-and leaves their positions alone.  A BFS state stores each value v, signed
-or not, as the byte v + n, and one ``bytes.translate`` applies a move.  Both
-multiplications give the same distances: the products of k generators form
-the same set whether each word is built from the left or from the right, so
-the two balls of every radius around the identity agree.
+per size, from its ``_CUT_GAPS`` row, as a tuple of signed image tuples.
+``GeneratorSet.moves`` is right multiplication t -> compose(t, g): the new
+state picks its entries, some negated, from fixed positions of the old one.
+The BFS walks by left multiplication s -> compose(g, s) instead, which
+relabels the values of s and leaves their positions alone.  A BFS state
+stores each value v, signed or not, as the byte v + n, and one
+``bytes.translate`` applies a move.  Both multiplications give the same
+distances: the products of k generators form the same set whether each word
+is built from the left or from the right, so the two balls of every radius
+around the identity agree.
 
 The BFS expands one state of each orbit of the symmetries that map the
 generator set onto itself.  The candidates are the mirror, for every set,
@@ -58,7 +59,7 @@ from . import bpgraph
 from .census import DistributionTable, _run_census
 from .exactmath import exact_div
 from .hultman import cycle_row
-from .perm import PermutationError, SignedPermutation, check_size
+from .perm import PermutationError, SignedPermutation, check_nonnegative, check_size
 
 __all__ = [
     "GeneratorSet",
@@ -85,18 +86,24 @@ BFS_SIGNED_GUARD = 6
 
 Images = tuple[int, ...]
 
-# Each generator set's moves, as the smallest gaps between consecutive cut
-# points 0 <= c_0 <= ... <= c_k <= n.  Two cuts bound a reversed segment; with
-# more, the blocks between the cuts trade places in reverse order.  A prefix
-# set fixes c_0 = 0.
-_CUT_GAPS: dict[str, tuple[int, ...]] = {
-    "reversal": (2,),
-    "prefix_reversal": (2,),
-    "transposition": (1, 1),
-    "prefix_transposition": (1, 1),
-    "block_interchange": (1, 0, 1),
-    "signed_reversal": (1,),
-    "prefix_signed_reversal": (1,),
+
+class _Cuts(NamedTuple):
+    gaps: tuple[int, ...]  # the smallest gaps between consecutive cut points
+    prefix: bool  # whether the first cut is fixed at 0
+    signed: bool  # whether the set acts on signed permutations
+
+
+# Each generator set's moves, as cut points 0 <= c_0 <= ... <= c_k <= n.  Two
+# cuts bound a reversed segment; with more, the blocks between the cuts trade
+# places in reverse order.  A signed set negates what it reverses.
+_CUT_GAPS: dict[str, _Cuts] = {
+    "reversal": _Cuts((2,), False, False),
+    "prefix_reversal": _Cuts((2,), True, False),
+    "transposition": _Cuts((1, 1), False, False),
+    "prefix_transposition": _Cuts((1, 1), True, False),
+    "block_interchange": _Cuts((1, 0, 1), False, False),
+    "signed_reversal": _Cuts((1,), False, True),
+    "prefix_signed_reversal": _Cuts((1,), True, True),
 }
 
 
@@ -104,12 +111,11 @@ _CUT_GAPS: dict[str, tuple[int, ...]] = {
 def _generators(name: str, n: int) -> tuple[Images, ...]:
     # Each move as a signed image tuple g: compose(t, g) takes its entries
     # from t at the positions |g| lists, negated where g is negative.
-    # Signed sets negate what they reverse.
-    gaps = _CUT_GAPS[name]
-    sign = -1 if GENERATOR_SETS[name].signed else 1
+    gaps, prefix, signed = _CUT_GAPS[name]
+    sign = -1 if signed else 1
     generators = []
     for cuts in combinations_with_replacement(range(n + 1), len(gaps) + 1):
-        if name.startswith("prefix_") and cuts[0]:
+        if prefix and cuts[0]:
             continue
         if any(b - a < gap for a, b, gap in zip(cuts, cuts[1:], gaps)):
             continue
@@ -137,7 +143,7 @@ class GeneratorSet:
 
     @property
     def signed(self) -> bool:
-        return "signed_" in self.name
+        return _CUT_GAPS[self.name].signed
 
     def moves(self, t: Images) -> list[Images]:
         """Every state one move away from ``t``."""
@@ -340,8 +346,7 @@ def distance_distribution(n: int, metric: str, force: bool = False) -> Distribut
     closed-form cycle row, with no guard; other metrics are tallied by
     bound_distribution; generator-set names run the BFS oracle.
     """
-    if n < 0:
-        raise ValueError(f"size must be >= 0, got {n}")
+    check_nonnegative(n)
     if metric in GENERATOR_SETS:
         return DistributionTable(n, metric, bfs_level_sizes(n, metric, force))
     if metric not in METRICS:

@@ -4,15 +4,16 @@ Every count and moment in this library is exact.  Integers are Python's
 arbitrary-precision ``int`` and rationals are ``fractions.Fraction``.
 ``exact_div`` is the one exactness check: every division that must leave
 no remainder goes through it, whether of integers or of polynomials by a
-monic divisor.  The ``Polynomial`` class stores int coefficients densely in
-ascending-degree order, which is the right shape for factorial polynomials
-and generating functions whose degree stays small (at most a few hundred
-here); a rational combination is summed over a common denominator and
-divided exactly at the end.  Products of linear factors are built one
-factor at a time (``times_linear``), and a known linear factor is taken out
-again (``over_linear``) by ``exact_div``, whose long division by a monic
-divisor costs O(degree) steps when that divisor is linear.  Nothing here
-is cached: a consumer of many rows steps one product forward, and every
+monic divisor.  A negative size is rejected by ``perm.check_nonnegative``,
+the library's one check for it.  The ``Polynomial`` class stores int
+coefficients densely in ascending-degree order, which is the right shape for
+factorial polynomials and generating functions whose degree stays small (at
+most a few hundred here); a rational combination is summed over a common
+denominator and divided exactly at the end.  Products of linear factors are
+built one factor at a time (``times_linear``), and a known linear factor is
+taken out again (``over_linear``) by ``exact_div``, whose long division by a
+monic divisor costs O(degree) steps when that divisor is linear.  Nothing
+here is cached: a consumer of many rows steps one product forward, and every
 harmonic sum is an integer prefix sum over one denominator
 (``harmonic_numerators``), cheap enough to rebuild on each call.
 """
@@ -24,6 +25,8 @@ from functools import reduce
 from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Union
+
+from .perm import check_nonnegative
 
 __all__ = [
     "ExactnessError",
@@ -185,8 +188,7 @@ def rising_factorial_poly(n: int) -> Polynomial:
     [n, k], unsigned and of the first kind, counts permutations of n
     elements with exactly k disjoint cycles.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     return linear_product(range(n))
 
 
@@ -196,8 +198,7 @@ def shifted_falling_factorial_poly(offset: int, length: int) -> Polynomial:
     With offset 0 this is the plain falling factorial, whose x^k coefficient
     is (-1)^(length-k) * [length, k].
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    check_nonnegative(length, "length")
     return linear_product(offset - j for j in range(length))
 
 
@@ -208,8 +209,7 @@ def harmonic_numerators(n: int, power: int = 1) -> tuple[int, list[int]]:
     sum: O(n) integer operations and no gcd, where summing Fractions takes
     one gcd per term.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     den = lcm(*range(1, n + 1)) ** power
     return den, list(accumulate((den // i**power for i in range(1, n + 1)), initial=0))
 
@@ -228,8 +228,7 @@ def harmonic_squares(n: int) -> Fraction:
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) for n >= 0; zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     if k < 0 or k > n:
         return 0
     return comb(n, k)

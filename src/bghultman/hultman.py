@@ -52,6 +52,7 @@ from .exactmath import (
     rising_factorial_poly,
     shifted_falling_factorial_poly,
 )
+from .perm import check_nonnegative
 
 __all__ = [
     "HookPartition",
@@ -92,8 +93,7 @@ class HookPartition:
     __slots__ = ("a", "b", "n")
 
     def __init__(self, a: int, b: int, n: int) -> None:
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        check_nonnegative(n)
         ok_hook = b >= 1 and a >= b and a + b <= n + 1
         ok_row = a == n + 1 and b == 0
         if not (ok_hook or ok_row):
@@ -178,8 +178,7 @@ def hultman_new_formula(n: int, k: int) -> int:
     Agrees with hultman_bona_flynn everywhere; kept as an independent route
     because the two are cross-checked in the verification suites.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     if not 1 <= k <= n + 1:
         raise ValueError(f"k={k} outside 1..{n + 1}")
     return exact_div(_falling_sum_poly(n).coefficient(k), n + 1)
@@ -265,8 +264,7 @@ def signed_gf(n: int) -> Polynomial:
     multiply and one exact linear division), so only the (n+1)//2 + 1 row
     starts are full products: O(n^3) coefficient operations in all.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     shapes = list(hook_partitions(n))
     weights = [c_lambda(lam) * f_lambda_deriv_at_zero(lam) for lam in shapes]
     den = lcm(*(w.denominator for w in weights))
@@ -320,8 +318,7 @@ def signed_rows(max_n: int) -> Iterator[Polynomial]:
 
 def cycle_row(n: int, signed: bool) -> Polynomial:
     """Row n of unsigned_rows or signed_rows: the count of each cycle number c."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     return deque(signed_rows(n) if signed else unsigned_rows(n), maxlen=1)[0]
 
 
@@ -339,8 +336,7 @@ def signed_hultman_special(n: int, k: int) -> int:
     k = n+1: only the identity.  k = n: C(n+1, 2), one 2-cycle.  k = n-1:
     5*C(n+1, 4) + 4*C(n+1, 3), two 2-cycles or one 3-cycle.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     if k == n + 1:
         return 1
     if k == n:
@@ -360,8 +356,7 @@ def unsigned_gf(n: int) -> Polynomial:
     (rising factorial of length n+2 minus falling factorial of length n+2)
     divided by 2*C(n+2, 2); coefficients are the per-k counts.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     diff = rising_factorial_poly(n + 2) - shifted_falling_factorial_poly(0, n + 2)
     den = 2 * binomial(n + 2, 2)
     coeffs = tuple(exact_div(c, den) for c in diff.coeffs)
@@ -370,15 +365,13 @@ def unsigned_gf(n: int) -> Polynomial:
 
 def unsigned_mean(n: int) -> Fraction:
     """Expected cycle count over unsigned permutations: H_n + 1/floor((n+2)/2)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     return harmonic(n) + Fraction(1, (n + 2) // 2)
 
 
 def unsigned_variance(n: int) -> Fraction:
     """Exact variance of the unsigned cycle count."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     sign = 1 if n % 2 == 0 else -1
     d = (n + 1) * (n + 2)
     h = harmonic(n + 2)
@@ -428,8 +421,7 @@ def _r_groups(n: int) -> tuple[int, Iterator[tuple[int, int, list[int]]]]:
     # b = 1, 2, ..., so r_n(k + b, b) = num * terms[b - 1] / den.  Each term
     # follows from the one before by a small-integer ratio.  Group k's own
     # denominator is 2^(n-k-1) n! quartics[k]; den = 2^n n! lcm(quartics).
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     fact = [1] * (n + 3)
     for i in range(1, n + 3):
         fact[i] = fact[i - 1] * i
@@ -470,8 +462,7 @@ def r_abs_sum(n: int) -> Fraction:
 
 def signed_mean(n: int) -> Fraction:
     """Expected cycle count over signed permutations."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     return harmonic(2 * n + 1) - harmonic(n) / 2 - r_sum(n)
 
 
@@ -490,8 +481,7 @@ def signed_moments(n: int) -> MomentPair:
     every r_n(a, b) is an integer over the walk's denominator rden: the walk
     sums two integers, and the moments are the only Fractions built.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     hden, hnum = harmonic_numerators(2 * n + 1)
     _, sq = harmonic_numerators(2 * n + 1, 2)  # over hden**2
     const = 2 * hnum[2 * n + 1] - hnum[n] - hden
@@ -523,8 +513,7 @@ def sury_identity_check(n: int) -> tuple[Fraction, Fraction]:
     Left: sum over i of (-1)^i / C(n, i).  Right: (1 + (-1)^n)(n+1)/(n+2).
     The two are provably equal; this evaluates them independently.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_nonnegative(n)
     lhs = Fraction(0)
     for i in range(n + 1):
         term = Fraction(1, binomial(n, i))

@@ -4,10 +4,18 @@ A signed permutation of n elements stores, for each position 1..n, a signed
 image whose absolute values form a bijection of {1..n}.  Unsigned
 permutations are the all-positive special case of the same type.  The module
 provides validation, group operations, deterministic (lexicographic)
-enumeration streams, the one size guard, and a brute-force counter of cycle
+enumeration streams, the size checks, and a brute-force counter of cycle
 factorisations used as a test oracle.  No census splits the streams by first
 image any more; ``first_values`` and the ``first`` argument of
 ``iter_images_*`` stay only because ``perfbench/layers.py`` times them.
+
+The size checks sit here because perm imports no other module of the
+package, so every module can import them.  ``check_nonnegative`` is the one
+check for a negative size: the counts, moments and bounds are defined for
+sizes >= 0, every size check in the library is a call to it, and so each
+rejection reads "<name> must be >= 0, got <value>".  ``check_size`` is the
+one size guard: it calls that check, then refuses a size above the guard of
+an exhaustive run unless forced.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ __all__ = [
     "enumerate_unsigned",
     "enumerate_signed",
     "count_factorizations",
+    "check_nonnegative",
     "check_size",
     "format_permutation",
     "UNSIGNED_ENUMERATION_GUARD",
@@ -53,10 +62,15 @@ class GuardError(RuntimeError):
     """
 
 
+def check_nonnegative(value: int, name: str = "n") -> None:
+    """Reject a negative size; every size check in the library is this call."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def check_size(n: int, guard: int, force: bool, what: str) -> None:
     """Reject a negative size, and a size above ``guard`` unless ``force``."""
-    if n < 0:
-        raise ValueError(f"size must be >= 0, got {n}")
+    check_nonnegative(n)
     if n > guard and not force:
         raise GuardError(
             f"size {n} exceeds the {what} guard ({guard}); "
@@ -111,13 +125,8 @@ def validate(images: Iterable[int]) -> SignedPermutation:
     return SignedPermutation(imgs)
 
 
-def _check_n(n: int) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-
 def identity(n: int) -> SignedPermutation:
-    _check_n(n)
+    check_nonnegative(n)
     return SignedPermutation(tuple(range(1, n + 1)))
 
 
@@ -165,7 +174,7 @@ def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int
     With ``first`` given, only permutations starting with that image are
     produced; the full stream is the concatenation over first = 1..n.
     """
-    _check_n(n)
+    check_nonnegative(n)
     if first is None:
         yield from itertools.permutations(range(1, n + 1))
         return
@@ -178,7 +187,7 @@ def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int
 
 def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
     """Raw lexicographic stream of signed image tuples."""
-    _check_n(n)
+    check_nonnegative(n)
     if first is not None and not 1 <= abs(first) <= n:
         raise PermutationError(f"first image {first} outside range for n={n}")
     values = list(range(-n, 0)) + list(range(1, n + 1))
@@ -208,7 +217,7 @@ def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, 
 
 def first_values(n: int, signed: bool) -> tuple[int, ...]:
     """First-image values splitting the enumeration into disjoint ranges."""
-    _check_n(n)
+    check_nonnegative(n)
     if signed:
         return tuple(range(-n, 0)) + tuple(range(1, n + 1))
     return tuple(range(1, n + 1))

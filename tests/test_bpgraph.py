@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bghultman import bpgraph as bg
+from bghultman.distances import distance_distribution
 from bghultman.hultman import HookPartition, hook_partitions
 from bghultman.perm import (
     SignedPermutation,
+    check_size,
     enumerate_signed,
     first_values,
     identity,
@@ -213,20 +215,22 @@ class TestRelabeling:
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, name",
     [
-        bg.grey_matching,
-        bg.grey_complement_matching,
-        bg.identity_matching,
-        bg.mu_relabeling,
-        lambda m: list(bg.iter_partner_tuples(m)),
-        lambda n: bg.Configuration(n, ()),
-        lambda n: list(hook_partitions(n)),
-        lambda n: HookPartition(0, 0, n),
-        identity,
-        lambda n: list(iter_images_unsigned(n)),
-        lambda n: list(iter_images_signed(n)),
-        lambda n: first_values(n, True),
+        (bg.grey_matching, "n"),
+        (bg.grey_complement_matching, "n"),
+        (bg.identity_matching, "m"),
+        (bg.mu_relabeling, "m"),
+        (lambda m: list(bg.iter_partner_tuples(m)), "m"),
+        (lambda n: bg.Configuration(n, ()), "n"),
+        (lambda n: list(hook_partitions(n)), "n"),
+        (lambda n: HookPartition(0, 0, n), "n"),
+        (identity, "n"),
+        (lambda n: list(iter_images_unsigned(n)), "n"),
+        (lambda n: list(iter_images_signed(n)), "n"),
+        (lambda n: first_values(n, True), "n"),
+        (lambda n: check_size(n, 5, False, "test"), "n"),
+        (lambda n: distance_distribution(n, "bid"), "n"),
     ],
     ids=[
         "grey",
@@ -241,10 +245,12 @@ class TestRelabeling:
         "images_unsigned",
         "images_signed",
         "first_values",
+        "check_size",
+        "distance_distribution",
     ],
 )
-def test_negative_size_rejected(build):
-    with pytest.raises(ValueError, match="must be >= 0"):
+def test_negative_size_rejected(build, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -1$"):
         build(-1)
 
 

@@ -373,9 +373,26 @@ class TestBadInput:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
         message = f"error: argument {option}: expected an integer, got {text!r}"
-        assert [line for line in err.splitlines() if "error:" in line] == [
-            f"hultman {argv.split()[0]}: {message}"
-        ]
+        assert err == f"hultman {argv.split()[0]}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            ("table --n x", "hultman table: error: argument --n: expected an integer"),
+            ("table --n -1", "hultman table: error: argument --n: must be >= 0, got -1"),
+            ("dist --metric nope --n 3", "hultman dist: error: argument --metric: invalid choice"),
+            ("verify --suite nope", "hultman verify: error: argument --suite: invalid choice"),
+            ("census", "hultman census: error: the following arguments are required: --n"),
+            ("", "hultman: error: the following arguments are required: command"),
+            ("table --n 3 --bogus", "hultman: error: unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_parser_rejection_is_one_line(self, capsys, argv, start):
+        # argparse's usage text is left out: a rejected command line gives
+        # "hultman[ <cmd>]: error: ..." and nothing else, like a library error.
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
 
     def test_library_value_error_is_one_line(self, capsys, monkeypatch):
         def reject(*args, **kwargs):

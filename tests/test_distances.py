@@ -242,7 +242,7 @@ class TestDistributions:
 
     def test_negative_n(self):
         for metric in ("bid", "dcj", "td_lower", "psrd_lower", "reversal"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^n must be >= 0, got -2$"):
                 distance_distribution(-2, metric)
 
     def test_census_input_checks(self):

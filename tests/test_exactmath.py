@@ -13,6 +13,7 @@ from bghultman.exactmath import (
     binomial,
     exact_div,
     harmonic,
+    harmonic_numerators,
     harmonic_squares,
     linear_product,
     rising_factorial_poly,
@@ -235,10 +236,17 @@ class TestPolynomialRing:
 
 
 @pytest.mark.parametrize(
-    "build",
-    [partial(rising_factorial_poly, -1), partial(shifted_falling_factorial_poly, 0, -1)],
-    ids=["rising_factorial_poly", "shifted_falling_factorial_poly"],
+    "build, name",
+    [
+        (partial(rising_factorial_poly, -1), "n"),
+        (partial(shifted_falling_factorial_poly, 0, -1), "length"),
+        (partial(harmonic_numerators, -1), "n"),
+        (partial(binomial, -1, 0), "n"),
+    ],
+    ids=[
+        "rising_factorial_poly", "shifted_falling_factorial_poly", "harmonic_numerators", "binomial"
+    ],
 )
-def test_negative_length_is_rejected(build):
-    with pytest.raises(ValueError, match="must be >= 0"):
+def test_negative_length_is_rejected(build, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -1$"):
         build()

@@ -297,7 +297,7 @@ class TestSignedRecurrence:
         assert all(count == golden.golden_value(n, k) for n, k, count in rows if n)
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
             signed_hultman(-1, 1)
 
 
@@ -443,8 +443,12 @@ def test_signed_nonnegative_and_bounded(n, k):
         ("signed_mean", (-1,)),
         ("signed_moments", (-1,)),
         ("sury_identity_check", (-1,)),
+        ("cycle_row", (-1, False)),
+        ("signed_hultman_special", (-1, 0)),
+        ("r_sum", (-1,)),
+        ("r_abs_sum", (-1,)),
     ],
 )
 def test_negative_n_is_rejected(name, args):
-    with pytest.raises(ValueError, match="n must be >= 0"):
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
         getattr(hultman, name)(*args)

@@ -41,8 +41,9 @@ def _floor_interpreter():
 
 def test_commands_run_on_declared_floor(capsys):
     # The benchmark self-test's tiny commands against their recorded digests,
-    # and a transposition BFS, which takes the toric orbits, against this
-    # interpreter's output.
+    # a transposition BFS, which takes the toric orbits, against this
+    # interpreter's output, and three command lines the parser rejects, since
+    # argparse calls error() from different places in different versions.
     exe = _floor_interpreter()
     if exe is None:
         pytest.skip("no Python 3.10 interpreter found")
@@ -65,6 +66,12 @@ def test_commands_run_on_declared_floor(capsys):
             assert hashlib.sha256(run.stdout).hexdigest() == digests[command], command
         else:
             assert run.stdout == toric, command
+    for command in ["table --n x", "dist --metric nope --n 3", "census"]:
+        run = subprocess.run(
+            [exe, "-m", "bghultman", *command.split()], capture_output=True, env=env, timeout=120
+        )
+        assert (run.returncode, run.stdout) == (2, b""), command
+        assert run.stderr.startswith(b"hultman ") and run.stderr.count(b"\n") == 1, command
 
 
 class _RaiseSites(ast.NodeVisitor):
@@ -115,6 +122,27 @@ def test_one_exactness_check_and_one_size_guard():
     assert sites == {"ExactnessError": ["exactmath.exact_div"], "GuardError": ["perm.check_size"]}
 
 
+def test_one_check_for_a_negative_size():
+    # Every "must be >= 0" ValueError is raised by perm.check_nonnegative,
+    # by top-level definition, apart from MomentPair's, which checks a
+    # variance, not a size.
+    sites = []
+    for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ValueError"
+                    and any(
+                        isinstance(part, ast.Constant) and "must be >= 0" in str(part.value)
+                        for part in ast.walk(node.exc)
+                    )
+                ):
+                    sites.append(f"{path.stem}.{getattr(stmt, 'name', path.stem)}")
+    assert sites == ["hultman.MomentPair", "perm.check_nonnegative"]
+
+
 def test_one_unsigned_precondition_in_distances():
     # Every cycle-based metric's group is checked in _metric_value, the one
     # route that bid, td_lower, ptd_lower and verify share.
@@ -161,6 +189,18 @@ def test_metric_names_are_spelled_once():
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and node.value in names and id(node) not in allowed
+    ]
+    assert spelled == []
+
+
+def test_generator_sets_read_their_row():
+    # A generator set's prefix and sign are fields of its _CUT_GAPS row;
+    # nothing in distances reads them off the set's name.
+    path = Path(bghultman.__file__).parent / "distances.py"
+    spelled = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in ("prefix_", "signed_")
     ]
     assert spelled == []
 
