@@ -138,7 +138,7 @@ def iter_partner_tuples(m: int) -> Iterator[tuple[int, ...]]:
                 partner[lo] = -1
                 partner[w] = -1
 
-    yield from rec(0)
+    return rec(0)
 
 
 def _union_lengths(pa: Sequence[int], pb: Sequence[int]) -> list[int]:

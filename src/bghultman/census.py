@@ -58,22 +58,18 @@ SIGNED_CENSUS_GUARD = 12
 MATCHING_CENSUS_GUARD = 6
 
 
-class DistributionTable:
+class DistributionTable(perm.Record):
     """Exact map k -> count for a named statistic at a given n.
 
-    Absent keys mean zero; stored counts are positive.  Tables with equal
-    fields compare equal; the counts are a dict, so a table has no hash.
+    Absent keys mean zero; stored counts are positive.  The counts are a
+    dict, so a table has no hash.
     """
 
     __slots__ = ("n", "statistic", "counts")
+    __hash__ = None
 
     def __init__(self, n: int, statistic: str, counts: Mapping[int, int]) -> None:
         self.n, self.statistic, self.counts = n, statistic, counts
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DistributionTable):
-            return NotImplemented
-        return (self.n, self.statistic, self.counts) == (other.n, other.statistic, other.counts)
 
     def count(self, k: int) -> int:
         return self.counts.get(k, 0)

@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Union
 
-from .perm import check_nonnegative
+from .perm import Record, check_nonnegative
 
 __all__ = [
     "ExactnessError",
@@ -57,12 +57,12 @@ def exact_div(a: _Dividend, b: _Dividend) -> _Dividend:
     return q
 
 
-class Polynomial:
+class Polynomial(Record):
     """Dense univariate polynomial with int coefficients.
 
     ``coeffs[k]`` is the coefficient of x^k.  The tuple carries no trailing
     zeros, so the zero polynomial is the empty tuple and ``degree`` of zero
-    is -1.  Polynomials with equal coefficients compare and hash equal.
+    is -1.
     """
 
     __slots__ = ("coeffs",)
@@ -72,17 +72,6 @@ class Polynomial:
         while c and c[-1] == 0:
             c = c[:-1]
         self.coeffs = c
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Polynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def zero(cls) -> "Polynomial":

@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, lcm
 from typing import Iterator
 
@@ -52,7 +53,7 @@ from .exactmath import (
     rising_factorial_poly,
     shifted_falling_factorial_poly,
 )
-from .perm import check_nonnegative
+from .perm import Record, check_nonnegative
 
 __all__ = [
     "HookPartition",
@@ -83,11 +84,11 @@ __all__ = [
 ]
 
 
-class HookPartition:
+class HookPartition(Record):
     """Hook-shaped partition (a, b, 1^(n-a-b+1)) of n+1.
 
     Either a >= b >= 1 with a + b <= n+1, or (a, b) = (n+1, 0) for the
-    single-row shape.  Equal shapes compare and hash equal.
+    single-row shape.
     """
 
     __slots__ = ("a", "b", "n")
@@ -100,17 +101,9 @@ class HookPartition:
             raise ValueError(f"({a}, {b}) is not a hook shape for n={n}")
         self.a, self.b, self.n = a, b, n
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HookPartition):
-            return NotImplemented
-        return (self.a, self.b, self.n) == (other.a, other.b, other.n)
 
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.n))
-
-
-class MomentPair:
-    """Exact mean and variance of a statistic; equal pairs compare and hash equal."""
+class MomentPair(Record):
+    """Exact mean and variance of a statistic."""
 
     __slots__ = ("mean", "variance")
 
@@ -119,21 +112,14 @@ class MomentPair:
             raise ValueError("variance must be >= 0")
         self.mean, self.variance = mean, variance
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MomentPair):
-            return NotImplemented
-        return (self.mean, self.variance) == (other.mean, other.variance)
-
-    def __hash__(self) -> int:
-        return hash((self.mean, self.variance))
-
 
 def hook_partitions(n: int) -> Iterator[HookPartition]:
     """All hook shapes for n, b ascending then a ascending, (n+1, 0) last."""
-    for b in range(1, (n + 1) // 2 + 1):
-        for a in range(b, n + 2 - b):
-            yield HookPartition(a, b, n)
-    yield HookPartition(n + 1, 0, n)
+    check_nonnegative(n)
+    hooks = (
+        HookPartition(a, b, n) for b in range(1, (n + 1) // 2 + 1) for a in range(b, n + 2 - b)
+    )
+    return chain(hooks, [HookPartition(n + 1, 0, n)])
 
 
 def unsigned_rows(max_n: int) -> Iterator[Polynomial]:
@@ -141,12 +127,17 @@ def unsigned_rows(max_n: int) -> Iterator[Polynomial]:
 
     Row n keeps the x^k coefficients of x(x+1)...(x+n+1) with n - k odd, over C(n+2, 2).
     """
-    rising = Polynomial((0, 1))
-    for n in range(max_n + 1):
-        rising = rising.times_linear(n + 1)
-        den = binomial(n + 2, 2)
-        row = [exact_div(c, den) if (n - k) % 2 else 0 for k, c in enumerate(rising.coeffs)]
-        yield Polynomial(tuple(row))
+    check_nonnegative(max_n, "max_n")
+
+    def rows() -> Iterator[Polynomial]:
+        rising = Polynomial((0, 1))
+        for n in range(max_n + 1):
+            rising = rising.times_linear(n + 1)
+            den = binomial(n + 2, 2)
+            row = [exact_div(c, den) if (n - k) % 2 else 0 for k, c in enumerate(rising.coeffs)]
+            yield Polynomial(tuple(row))
+
+    return rows()
 
 
 def hultman_bona_flynn(n: int, k: int) -> int:
@@ -304,16 +295,21 @@ def signed_rows(max_n: int) -> Iterator[Polynomial]:
     three at n = 3, where c_4 vanishes); its exact division by n+2 makes a
     wrong seed or step raise ExactnessError.
     """
-    last: deque[Polynomial] = deque(maxlen=4)
-    for n in range(max_n + 1):
-        if n < len(_SIGNED_SEEDS):
-            row = Polynomial(_SIGNED_SEEDS[n])
-        else:
-            terms = (Polynomial(c) * prev for c, prev in zip(_signed_steps(n), reversed(last)))
-            total = sum(terms, Polynomial.zero())
-            row = Polynomial(tuple(exact_div(c, n + 2) for c in total.coeffs))
-        last.append(row)
-        yield row
+    check_nonnegative(max_n, "max_n")
+
+    def rows() -> Iterator[Polynomial]:
+        last: deque[Polynomial] = deque(maxlen=4)
+        for n in range(max_n + 1):
+            if n < len(_SIGNED_SEEDS):
+                row = Polynomial(_SIGNED_SEEDS[n])
+            else:
+                terms = (Polynomial(c) * prev for c, prev in zip(_signed_steps(n), reversed(last)))
+                total = sum(terms, Polynomial.zero())
+                row = Polynomial(tuple(exact_div(c, n + 2) for c in total.coeffs))
+            last.append(row)
+            yield row
+
+    return rows()
 
 
 def cycle_row(n: int, signed: bool) -> Polynomial:

@@ -16,6 +16,13 @@ sizes >= 0, every size check in the library is a call to it, and so each
 rejection reads "<name> must be >= 0, got <value>".  ``check_size`` is the
 one size guard: it calls that check, then refuses a size above the guard of
 an exhaustive run unless forced.
+
+``Record`` sits here for the same reason.  It is the one equality rule of
+the value records (``SignedPermutation``, ``exactmath.Polynomial``,
+``hultman.HookPartition``, ``hultman.MomentPair`` and
+``census.DistributionTable``): two records are equal when they are of the
+same class and their fields, the names in the class's ``__slots__``, are
+equal; equal records hash equal, and the repr names each field.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "PermutationError",
     "GuardError",
+    "Record",
     "SignedPermutation",
     "validate",
     "identity",
@@ -78,24 +86,41 @@ def check_size(n: int, guard: int, force: bool, what: str) -> None:
         )
 
 
-class SignedPermutation:
+class Record:
+    """Base of the value records: equality, hash and repr from ``__slots__``.
+
+    A subclass lists its fields in ``__slots__``; one holding a dict sets
+    ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SignedPermutation(Record):
     """Permutation of {1..n} with per-element signs, as a tuple of images.
 
-    Equal permutations compare and hash equal; ``validate`` checks the images.
+    ``validate`` checks the images.
     """
 
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[int, ...]) -> None:
         self.images = images
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     @property
     def n(self) -> int:
@@ -176,13 +201,11 @@ def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int
     """
     check_nonnegative(n)
     if first is None:
-        yield from itertools.permutations(range(1, n + 1))
-        return
+        return itertools.permutations(range(1, n + 1))
     if not 1 <= first <= n:
         raise PermutationError(f"first image {first} outside range for n={n}")
     rest = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(rest):
-        yield (first,) + tail
+    return ((first,) + tail for tail in itertools.permutations(rest))
 
 
 def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -208,11 +231,10 @@ def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, 
             used[a] = False
 
     if first is None:
-        yield from rec(0)
-    else:
-        used[abs(first)] = True
-        acc[0] = first
-        yield from rec(1)
+        return rec(0)
+    used[abs(first)] = True
+    acc[0] = first
+    return rec(1)
 
 
 def first_values(n: int, signed: bool) -> tuple[int, ...]:

@@ -221,13 +221,13 @@ class TestRelabeling:
         (bg.grey_complement_matching, "n"),
         (bg.identity_matching, "m"),
         (bg.mu_relabeling, "m"),
-        (lambda m: list(bg.iter_partner_tuples(m)), "m"),
+        (bg.iter_partner_tuples, "m"),
         (lambda n: bg.Configuration(n, ()), "n"),
-        (lambda n: list(hook_partitions(n)), "n"),
+        (hook_partitions, "n"),
         (lambda n: HookPartition(0, 0, n), "n"),
         (identity, "n"),
-        (lambda n: list(iter_images_unsigned(n)), "n"),
-        (lambda n: list(iter_images_signed(n)), "n"),
+        (iter_images_unsigned, "n"),
+        (iter_images_signed, "n"),
         (lambda n: first_values(n, True), "n"),
         (lambda n: check_size(n, 5, False, "test"), "n"),
         (lambda n: distance_distribution(n, "bid"), "n"),

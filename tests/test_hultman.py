@@ -452,3 +452,10 @@ def test_signed_nonnegative_and_bounded(n, k):
 def test_negative_n_is_rejected(name, args):
     with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
         getattr(hultman, name)(*args)
+
+
+@pytest.mark.parametrize("name", ["unsigned_rows", "signed_rows"])
+def test_row_stream_rejects_negative_max_n(name):
+    # At the call, before the stream is read.
+    with pytest.raises(ValueError, match=r"^max_n must be >= 0, got -1$"):
+        getattr(hultman, name)(-1)

@@ -1,6 +1,9 @@
 """The eight record classes: plain ``__slots__`` classes with checking constructors.
 
-Equality and hash are defined only where the library or the tests use them:
+The five value records inherit equality, hash and repr from one base,
+``perm.Record``, which reads the fields from the class's ``__slots__``: a
+record equals another of its own class with equal fields, and of no other
+class.  They are used here:
 
 - SignedPermutation ==: the round trips in verify's lemmas suite and the perm
   and bpgraph tests.
@@ -11,7 +14,7 @@ Equality and hash are defined only where the library or the tests use them:
   distances tests.  Its counts are a dict, so a table has no hash.
 - Configuration, GeneratorSet and ComparisonResult compare by identity.
 
-The first four of these are values, so equal ones also hash equal.
+The first four of these hash their fields, so equal ones hash equal.
 """
 
 from fractions import Fraction
@@ -55,6 +58,32 @@ def test_values_compare_and_hash_by_fields(name):
     assert len({a, b}) == 1
     assert a != DIFFERENT[name]
     assert a != tuple(getattr(a, field) for field in type(a).__slots__)
+
+
+def test_records_of_different_classes_differ():
+    # Equal field values do not make records of two classes equal.
+    assert SignedPermutation((1, 2)) != Polynomial((1, 2))
+    assert Polynomial((1, 2)) != SignedPermutation((1, 2))
+
+
+@pytest.mark.parametrize(
+    "record, text",
+    [
+        (SignedPermutation((2, -1)), "SignedPermutation(images=(2, -1))"),
+        (Polynomial((0, 1, 2)), "Polynomial(coeffs=(0, 1, 2))"),
+        (HookPartition(2, 1, 2), "HookPartition(a=2, b=1, n=2)"),
+        (
+            MomentPair(Fraction(3, 2), Fraction(1, 4)),
+            "MomentPair(mean=Fraction(3, 2), variance=Fraction(1, 4))",
+        ),
+        (
+            DistributionTable(2, "cycles", {1: 1, 3: 1}),
+            "DistributionTable(n=2, statistic='cycles', counts={1: 1, 3: 1})",
+        ),
+    ],
+)
+def test_value_record_repr_names_its_fields(record, text):
+    assert repr(record) == text
 
 
 def test_distribution_table_compares_by_fields_and_has_no_hash():

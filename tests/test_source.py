@@ -40,10 +40,11 @@ def _floor_interpreter():
 
 
 def test_commands_run_on_declared_floor(capsys):
-    # The benchmark self-test's tiny commands against their recorded digests,
-    # a transposition BFS, which takes the toric orbits, against this
-    # interpreter's output, and three command lines the parser rejects, since
-    # argparse calls error() from different places in different versions.
+    # The benchmark self-test's tiny commands against their recorded digests;
+    # a transposition BFS, which takes the toric orbits, and the five verify
+    # suites, which between them compare every kind of value record, against
+    # this interpreter's output; and three command lines the parser rejects,
+    # since argparse calls error() from different places in different versions.
     exe = _floor_interpreter()
     if exe is None:
         pytest.skip("no Python 3.10 interpreter found")
@@ -54,10 +55,14 @@ def test_commands_run_on_declared_floor(capsys):
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TINY"
     )
     digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
-    assert cli.main(["dist", "--metric", "transposition", "--n", "6"]) == 0
-    toric = capsys.readouterr().out.encode()
+    here = {}
+    for command in ["dist --metric transposition --n 6"] + [
+        f"verify --suite {suite}" for suite in cli._SUITE_NAMES
+    ]:
+        assert cli.main(command.split()) == 0, command
+        here[command] = capsys.readouterr().out.encode()
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    for command in [*tiny, "dist --metric transposition --n 6"]:
+    for command in [*tiny, *here]:
         run = subprocess.run(
             [exe, "-m", "bghultman", *command.split()], capture_output=True, env=env, timeout=120
         )
@@ -65,7 +70,7 @@ def test_commands_run_on_declared_floor(capsys):
         if command in digests:
             assert hashlib.sha256(run.stdout).hexdigest() == digests[command], command
         else:
-            assert run.stdout == toric, command
+            assert run.stdout == here[command], command
     for command in ["table --n x", "dist --metric nope --n 3", "census"]:
         run = subprocess.run(
             [exe, "-m", "bghultman", *command.split()], capture_output=True, env=env, timeout=120
@@ -141,6 +146,29 @@ def test_one_check_for_a_negative_size():
                 ):
                     sites.append(f"{path.stem}.{getattr(stmt, 'name', path.stem)}")
     assert sites == ["hultman.MomentPair", "perm.check_nonnegative"]
+
+
+def test_one_equality_rule_for_the_records():
+    # Equality, hash and repr come from perm.Record alone; a record whose
+    # fields hold a dict opts out of hashing with `__hash__ = None`.
+    rule = {"__eq__", "__hash__", "__repr__"}
+    owners = []
+    for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    names = {stmt.name}
+                elif isinstance(stmt, ast.Assign) and not (
+                    isinstance(stmt.value, ast.Constant) and stmt.value.value is None
+                ):
+                    names = {getattr(t, "id", None) for t in stmt.targets}
+                else:
+                    continue
+                if names & rule:
+                    owners.append(f"{path.stem}.{node.name}")
+    assert sorted(set(owners)) == ["perm.Record"]
 
 
 def test_one_unsigned_precondition_in_distances():
