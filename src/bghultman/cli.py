@@ -288,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=_SUITE_NAMES, required=True)
     p.add_argument(
         "--max-n", type=_int_at_least(0),
-        help="largest n of the size-dependent checks only; others keep fixed sizes. "
-        "Each suite has its own default (verify.SUITES)",
+        help="largest n of every route check, of table1's rows and of the lemmas; the other "
+        "checks keep fixed sizes. The default is the largest size of the suite's routes, "
+        "11 for table1 and 4 for lemmas (verify.SUITES)",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import factorial, lcm
 from typing import Iterator
@@ -61,6 +60,7 @@ __all__ = [
     "hook_partitions",
     "hultman_bona_flynn",
     "hultman_new_formula",
+    "new_formula_row",
     "unsigned_rows",
     "signed_rows",
     "cycle_row",
@@ -149,30 +149,29 @@ def hultman_bona_flynn(n: int, k: int) -> int:
     return cycle_row(n, False).coefficient(k)
 
 
-@lru_cache(maxsize=None)
-def _falling_sum_poly(n: int) -> Polynomial:
-    # Cached, as callers read hultman_new_formula for every k of a row.
-    # Sum over i = 1..n+1 of the length-(n+1) falling factorial shifted by
-    # n-i+1, (x+n-i+1)(x+n-i)...(x-i+1); dividing its coefficients by n+1
-    # gives the unsigned counts.  Each term slides the previous one's window
-    # down by one: gain the factor (x-i+1), lose (x+n-i+2).
+def new_formula_row(n: int) -> Polynomial:
+    """Row n of unsigned counts, by the averaged falling-factorial coefficients.
+
+    Sum over i = 1..n+1 of the length-(n+1) falling factorial shifted by
+    n-i+1, (x+n-i+1)(x+n-i)...(x-i+1), over n+1.  Each term slides the
+    previous one's window down by one: gain the factor (x-i+1), lose
+    (x+n-i+2).  Agrees with unsigned_rows everywhere; kept as an independent
+    route because the two are cross-checked in the verification suites.
+    """
+    check_nonnegative(n)
     term = total = shifted_falling_factorial_poly(n, n + 1)
     for i in range(2, n + 2):
         term = term.times_linear(1 - i).over_linear(n - i + 2)
         total = total + term
-    return total
+    return Polynomial(exact_div(c, n + 1) for c in total.coeffs)
 
 
 def hultman_new_formula(n: int, k: int) -> int:
-    """Unsigned count via the averaged falling-factorial coefficients.
-
-    Agrees with hultman_bona_flynn everywhere; kept as an independent route
-    because the two are cross-checked in the verification suites.
-    """
-    check_nonnegative(n)
+    """Unsigned count with k cycles, read from new_formula_row(n)."""
+    row = new_formula_row(n)
     if not 1 <= k <= n + 1:
         raise ValueError(f"k={k} outside 1..{n + 1}")
-    return exact_div(_falling_sum_poly(n).coefficient(k), n + 1)
+    return row.coefficient(k)
 
 
 def f_lambda_poly(lam: HookPartition) -> Polynomial:

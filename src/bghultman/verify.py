@@ -3,18 +3,29 @@
 A suite is a generator of ``(name, ok, detail)`` checks up to a size limit
 ``max_n``; ``hultman verify`` prints one PASS or FAIL line per check.
 ``SUITES`` maps each suite name to its generator and its default limit.
+
+Most checks come from one table, ``ROUTES``: per suite, each quantity has a
+reference stream, ``top -> values for n = 0..top``, and its routes, each
+``(name, sizes, n -> value)`` with sizes ascending from 0.  One loop walks
+each reference once and compares every route with ``==`` at each of its
+sizes up to ``max_n``.  It gives one check per route, and a FAIL names the
+first n that disagreed.  A suite's default ``max_n`` is the largest size of
+its routes.  table1 and the lemmas run to ``max_n`` or their own limit; the
+other checks keep fixed sizes.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import factorial, log
 from typing import Callable, Iterator
 
 from . import bpgraph, census, distances, golden, perm
 from .hultman import (
-    hultman_new_formula,
+    MomentPair,
+    new_formula_row,
     r_abs_sum,
     r_sum,
     signed_gf,
@@ -29,7 +40,7 @@ from .hultman import (
     unsigned_rows,
 )
 
-__all__ = ["EULER_GAMMA", "SUITES"]
+__all__ = ["EULER_GAMMA", "ROUTES", "SUITES"]
 
 EULER_GAMMA = 0.5772156649
 
@@ -40,32 +51,121 @@ def _order(n: int, signed: bool) -> int:
     return 2**n * factorial(n) if signed else factorial(n)
 
 
-# The unsigned and the signed group: census, closed-form row stream, exact
-# moments and generating function, then the largest census n of the formulas
-# and the moments suites.
-_Group = namedtuple("_Group", "name signed tally rows moments gf formulas_to moments_to")
-_UNSIGNED = _Group(
-    "unsigned", False, census.hultman_census, unsigned_rows, unsigned_moments, unsigned_gf,
-    9, 7,
-)
-_SIGNED = _Group(
-    "signed", True, census.signed_hultman_census, signed_rows, signed_moments, signed_gf,
-    7, 6,
-)
-_GROUPS = (_UNSIGNED, _SIGNED)
+def _counts(row) -> dict[int, int]:
+    return {k: c for k, c in enumerate(row.coeffs) if c}
 
-# BFS domination checks: (group, largest n, rows of (generator set, check
-# name, bounds that must not exceed the BFS distance, detail)).
-_BFS_DOMINATION = (
-    (_UNSIGNED, 6, (
-        ("transposition", "td", ("td_lower", "bid"), "odd-cycle and bid bounds below BFS"),
-        ("prefix_transposition", "ptd", ("ptd_lower",), "prefix transposition bound below BFS"),
-    )),
-    (_SIGNED, 5, (
-        ("signed_reversal", "srd", ("srd_lower",), "cycle bound below signed reversal BFS"),
-        ("prefix_signed_reversal", "psrd", ("psrd_lower",), "prefix bound below BFS"),
-    )),
-)
+
+def _moments(row) -> MomentPair:
+    # The mean and variance of the distribution a generating function counts,
+    # from its value and first two derivatives at x = 1.
+    d = row.derivative()
+    total, d1, d2 = row.evaluate(1), d.evaluate(1), d.derivative().evaluate(1)
+    mean = Fraction(d1, total)
+    return MomentPair(mean, mean + Fraction(d2, total) - mean * mean)
+
+
+def _bfs(gset: str, metric: str, n: int):
+    # A BFS route of the bounds suite.  The block-interchange distance is
+    # (n+1-c)/2 (Christie 1996), bid itself, so its BFS levels are bid's
+    # distribution.  Any other set's distance bounds the metric from above,
+    # and min(metric, distance) over the group tallies like the metric alone
+    # exactly when the BFS reached every element and the metric never
+    # exceeds the distance: min only lowers values, so equal multisets force
+    # equal sums.
+    if gset == "block_interchange":
+        return distances.bfs_level_sizes(n, gset)
+    return Counter(
+        min(distances._metric_value(images, metric), d)
+        for images, d in distances.bfs_distances(n, gset).items()
+    )
+
+
+# The sizes of a census route, unsigned then signed: every n to the guard.
+_CENSUS_SIZES = (range(census.UNSIGNED_CENSUS_GUARD + 1), range(census.SIGNED_CENSUS_GUARD + 1))
+
+# Each metric's BFS routes, generator set -> largest n; a metric with no row
+# here stops the import, so a new one cannot skip the table.
+_BFS_ROUTES = {
+    "bid": {"block_interchange": distances.BFS_UNSIGNED_GUARD, "transposition": 6},
+    "dcj": {},
+    "srd_lower": {"signed_reversal": 5},
+    "td_lower": {"transposition": 6},
+    "ptd_lower": {"prefix_transposition": 6},
+    "psrd_lower": {"prefix_signed_reversal": 5},
+}
+
+
+def _bounds(metric: str):
+    # A metric's row of the bounds suite: its census tally is the reference,
+    # and cycle_row gives a closed_form route wherever it gives the table.
+    row = distances.METRICS[metric]
+    routes = [
+        ("closed_form", _CENSUS_SIZES[row.signed],
+         lambda n: distances.distance_distribution(n, metric).counts)
+    ] if row.closed_form else []
+    routes += [
+        (f"{gset}_bfs", range(top + 1), partial(_bfs, gset, metric))
+        for gset, top in _BFS_ROUTES[metric].items()
+    ]
+    return (
+        lambda top: (distances.bound_distribution(n, metric).counts for n in range(top + 1)),
+        routes
+    )
+
+
+# Per suite, quantity -> (reference stream, routes); see the module docstring.
+ROUTES = {
+    "formulas": {
+        "unsigned_cycles": (lambda top: map(_counts, unsigned_rows(top)), [
+            ("census", _CENSUS_SIZES[0], lambda n: census.hultman_census(n).counts),
+            ("falling_factorial", range(41), lambda n: _counts(new_formula_row(n))),
+        ]),
+        "signed_cycles": (lambda top: map(_counts, signed_rows(top)), [
+            ("census", _CENSUS_SIZES[1], lambda n: census.signed_hultman_census(n).counts),
+            ("hook_sum", range(41), lambda n: _counts(signed_gf(n))),
+            # The matchings whose union with the shifted grey matching is one
+            # cycle are the black matchings of valid breakpoint graphs.
+            ("matching_slice", range(6),
+             lambda n: {i: v for (i, j), v in census.matching_census(n).items() if j == 1}),
+        ]),
+    },
+    "bounds": {metric: _bounds(metric) for metric in distances.METRICS},
+    "moments": {
+        "unsigned_cycles": (lambda top: map(_moments, unsigned_rows(top)), [
+            ("formula", range(121), unsigned_moments),
+            ("census", _CENSUS_SIZES[0],
+             lambda n: census.moments_from_table(census.hultman_census(n), factorial(n))),
+            ("generating_function", range(13), lambda n: _moments(unsigned_gf(n))),
+        ]),
+        "signed_cycles": (lambda top: map(_moments, signed_rows(top)), [
+            ("formula", (*range(121), 300), signed_moments),
+            ("census", _CENSUS_SIZES[1],
+             lambda n: census.moments_from_table(census.signed_hultman_census(n), _order(n, True))),
+            ("generating_function", range(13), lambda n: _moments(signed_gf(n))),
+        ]),
+    },
+}
+
+
+def _route_checks(suite: str, max_n: int) -> Checks:
+    # The one loop that compares routes.  Each quantity's reference is walked
+    # once, to the largest size at which one of its routes runs, and each
+    # route is compared at its sizes up to max_n until it first disagrees.
+    # Every route's sizes start at 0, so each runs at some size.
+    for quantity, (reference, routes) in ROUTES[suite].items():
+        runs = [(name, [n for n in sizes if n <= max_n], value) for name, sizes, value in routes]
+        bad = {}
+        for n, expected in enumerate(reference(max(sizes[-1] for _, sizes, _ in runs))):
+            for name, sizes, value in runs:
+                if n in sizes and name not in bad and value(n) != expected:
+                    bad[name] = n
+        for name, sizes, _ in runs:
+            # Sizes with gaps, as n <= 120 and n = 300, say how many ran.
+            gaps = f"{len(sizes)} sizes, " * (len(sizes) <= sizes[-1])
+            detail = f"{name} equals the reference for {gaps}n<={sizes[-1]}"
+            if name in bad:
+                detail = f"{name} differs from the reference at n={bad[name]}"
+            yield f"{suite}.{quantity}_{name}", name not in bad, detail
 
 
 def table1(max_n: int) -> Checks:
@@ -78,40 +178,24 @@ def table1(max_n: int) -> Checks:
 
 
 def formulas(max_n: int) -> Checks:
-    agree_to = max(max_n, 40)
+    yield from _route_checks("formulas", max_n)
     ok = all(
-        hultman_new_formula(n, k) == row.coefficient(k)
-        for n, row in enumerate(unsigned_rows(agree_to))
-        for k in range(1, n + 2)
+        row.evaluate(1) == _order(n, rows is signed_rows)
+        for rows in (unsigned_rows, signed_rows)
+        for n, row in enumerate(rows(25))
     )
-    yield "formulas.unsigned_agreement", ok, f"two unsigned routes agree for n<={agree_to}"
-    totals_to = max(max_n, 25)
-    ok = all(
-        row.evaluate(1) == _order(n, group.signed)
-        for group in _GROUPS
-        for n, row in enumerate(group.rows(totals_to))
-    )
-    yield "formulas.totals", ok, f"rows sum to n! and 2^n*n! for n<={totals_to}"
-    for group in _GROUPS:
-        for n, row in enumerate(group.rows(min(max_n, group.formulas_to))):
-            table = group.tally(n)
-            ok = all(table.count(k) == row.coefficient(k) for k in range(1, n + 2))
-            yield f"formulas.{group.name}_census_n{n}", ok, "census equals closed form"
-    special_to = min(max(max_n, 11), 30)
+    yield "formulas.totals", ok, "rows sum to n! and 2^n*n! for n<=25"
     ok = all(
         row.coefficient(k) == signed_hultman_special(n, k)
-        for n, row in enumerate(signed_rows(special_to))
+        for n, row in enumerate(signed_rows(30))
         for k in (n + 1, n, n - 1)
         if min(n, k) >= 1
     )
-    yield "formulas.special_cases", ok, f"top three k values match for n<={special_to}"
-    ok = all(row == signed_gf(n) for n, row in enumerate(signed_rows(agree_to)))
-    yield "formulas.signed_recurrence", ok, f"recurrence rows equal the hook sum for n<={agree_to}"
+    yield "formulas.special_cases", ok, "top three k values match for n<=30"
 
 
 def lemmas(max_n: int) -> Checks:
-    top = min(max_n, 5)
-    for n in range(0, top + 1):
+    for n in range(min(max_n, 5) + 1):
         ok_valid = True
         ok_round = True
         seen = set()
@@ -128,13 +212,6 @@ def lemmas(max_n: int) -> Checks:
         yield f"lemmas.roundtrip_n{n}", ok_round, "recovery inverts construction"
         ok = len(seen) == _order(n, True)
         yield f"lemmas.distinct_n{n}", ok, "black matchings are pairwise distinct"
-    for n, counts in enumerate(signed_rows(top)):
-        pairs = census.matching_census(n)
-        row = {i: v for (i, j), v in pairs.items() if j == 1}
-        ok = all(row.get(k, 0) == counts.coefficient(k) for k in range(1, n + 2))
-        yield f"lemmas.matching_slice_n{n}", ok, "hamiltonian slice equals the signed row"
-        ok = sum(row.values()) == _order(n, True)
-        yield f"lemmas.valid_count_n{n}", ok, "valid configurations biject with signed permutations"
     for m in range(1, 5):
         mu = bpgraph.mu_relabeling(m)
         grey = bpgraph.grey_matching(m - 1)
@@ -152,61 +229,8 @@ def lemmas(max_n: int) -> Checks:
         yield f"lemmas.relabel_m{m}", ok, "conjugation preserves union cycle counts"
 
 
-def bounds(max_n: int) -> Checks:
-    # Every metric that distance_distribution reads off the closed-form row.
-    for metric, row in distances.METRICS.items():
-        if not row.closed_form:
-            continue
-        group, top = ("signed", 5) if row.signed else ("unsigned", 7)
-        for n in range(0, min(max_n, top) + 1):
-            tally = distances.bound_distribution(n, metric)
-            ok = tally == distances.distance_distribution(n, metric)
-            yield f"bounds.{metric}_shift_n{n}", ok, f"tally equals shifted {group} table"
-    # Block-interchange distance is (n+1-c)/2 (Christie 1996), so the BFS
-    # levels must equal the closed-form bid row at every size it reaches.
-    for n in range(0, distances.BFS_UNSIGNED_GUARD + 1):
-        levels = distances.bfs_level_sizes(n, "block_interchange")
-        ok = levels == distances.distance_distribution(n, "bid").counts
-        yield f"bounds.bid_bfs_n{n}", ok, "block-interchange BFS levels equal the closed form"
-    for group, top, rows in _BFS_DOMINATION:
-        for n in range(0, min(max_n, top) + 1):
-            bfs = [distances.bfs_distances(n, gset) for gset, *_ in rows]
-            ok = all(len(dist) == _order(n, group.signed) for dist in bfs)
-            yield f"bounds.{group.name}_bfs_total_n{n}", ok, "BFS reaches the whole group"
-            for (_, name, metrics, detail), dist in zip(rows, bfs):
-                ok = all(
-                    distances._metric_value(images, metric) <= d
-                    for images, d in dist.items()
-                    for metric in metrics
-                )
-                yield f"bounds.{name}_domination_n{n}", ok, detail
-
-
-def _gf_agrees(poly, pair) -> bool:
-    # Whether the mean and variance of the distribution a generating function
-    # counts, from its value and first two derivatives at x = 1, equal pair's.
-    d = poly.derivative()
-    total, d1, d2 = poly.evaluate(1), d.evaluate(1), d.derivative().evaluate(1)
-    mean = Fraction(d1, total)
-    return (mean, mean + Fraction(d2, total) - mean * mean) == (pair.mean, pair.variance)
-
-
 def moments(max_n: int) -> Checks:
-    for group in _GROUPS:
-        for n in range(1, min(max_n, group.moments_to) + 1):
-            table = group.tally(n)
-            ok = census.moments_from_table(table, _order(n, group.signed)) == group.moments(n)
-            yield f"moments.{group.name}_census_n{n}", ok, "formula equals census moments"
-    gf_to = max(max_n, 12)
-    ok = all(
-        _gf_agrees(group.gf(n), group.moments(n))
-        for n in range(0, gf_to + 1)
-        for group in _GROUPS
-    )
-    yield "moments.generating_function", ok, f"derivative route agrees for n<={gf_to}"
-    rows = enumerate(signed_rows(300))
-    ok = all(_gf_agrees(row, signed_moments(n)) for n, row in rows if n <= 120 or n == 300)
-    yield "moments.signed_recurrence", ok, "recurrence rows give the signed moments for n<=120 and 300"
+    yield from _route_checks("moments", max_n)
     ok = all(
         abs(r_sum(n)) <= r_abs_sum(n) <= Fraction(2) * (1 - Fraction(1, 2**n)) / (n + 2)
         for n in range(0, 31)
@@ -222,10 +246,14 @@ def moments(max_n: int) -> Checks:
     yield "moments.signed_asymptotic", ok, "n=1000 mean within 0.05 of log(n)/2+gamma/2+log(2)"
 
 
+def _largest(suite: str) -> int:
+    return max(sizes[-1] for _, routes in ROUTES[suite].values() for _, sizes, _ in routes)
+
+
 SUITES: dict[str, tuple[Callable[[int], Checks], int]] = {
     "table1": (table1, 11),
-    "formulas": (formulas, 7),
+    "formulas": (formulas, _largest("formulas")),
     "lemmas": (lemmas, 4),
-    "bounds": (bounds, 5),
-    "moments": (moments, 6),
+    "bounds": (partial(_route_checks, "bounds"), _largest("bounds")),
+    "moments": (moments, _largest("moments")),
 }

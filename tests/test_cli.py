@@ -6,12 +6,13 @@ import stat
 import subprocess
 import sys
 import threading
+from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from bghultman import census, cli, distances, golden, hultman
+from bghultman import census, cli, distances, golden, hultman, verify
 from bghultman.cli import main
 from bghultman.exactmath import ExactnessError
 
@@ -443,6 +444,90 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "no checks" in err
+
+
+# Every route of verify.ROUTES as (suite, quantity, index into its routes).
+ROUTE_IDS = [
+    (suite, quantity, index)
+    for suite, table in verify.ROUTES.items()
+    for quantity, (_, routes) in table.items()
+    for index in range(len(routes))
+]
+
+# The moments suite's slowest fixed check, signed_mean(1000), computed once
+# for all the runs below; its value, and so the check, is unchanged.
+_signed_mean = lru_cache(maxsize=None)(verify.signed_mean)
+
+
+class TestRouteTable:
+    def test_table_covers_every_metric_and_generator_set(self):
+        bounds = verify.ROUTES["bounds"]
+        assert set(bounds) == set(distances.METRICS)
+        for metric, row in distances.METRICS.items():
+            names = [name for name, _, _ in bounds[metric][1]]
+            assert ("closed_form" in names) == row.closed_form, metric
+        used = {
+            name.removesuffix("_bfs")
+            for _, routes in bounds.values()
+            for name, _, _ in routes
+            if name.endswith("_bfs")
+        }
+        assert used == set(distances.GENERATOR_SETS) - {"reversal", "prefix_reversal"}
+
+    @pytest.mark.parametrize("suite", sorted(verify.ROUTES))
+    def test_sizes_start_at_zero_and_set_the_default(self, suite):
+        # The loop walks each reference from n = 0, and a suite's default
+        # --max-n is the largest size of its routes.
+        sizes = [list(s) for _, routes in verify.ROUTES[suite].values() for _, s, _ in routes]
+        assert all(s[0] == 0 and s == sorted(set(s)) for s in sizes)
+        assert verify.SUITES[suite][1] == max(s[-1] for s in sizes)
+
+    @pytest.mark.parametrize("suite", sorted(verify.ROUTES))
+    def test_max_n_caps_every_route(self, capsys, monkeypatch, suite):
+        # Every size the census, the BFS and the closed-form routes receive.
+        seen = []
+        entry_points = [
+            (distances, ("bfs_level_sizes", "bfs_distances", "bound_distribution",
+                         "distance_distribution")),
+            (census, ("hultman_census", "signed_hultman_census", "matching_census")),
+            (verify, ("new_formula_row", "signed_gf", "unsigned_gf")),
+        ]
+        for module, names in entry_points:
+            for name in names:
+                def record(n, *args, _f=getattr(module, name), **kwargs):
+                    seen.append(n)
+                    return _f(n, *args, **kwargs)
+
+                monkeypatch.setattr(module, name, record)
+        monkeypatch.setattr(verify, "signed_mean", _signed_mean)
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-n", "2")
+        assert code == 0 and "FAIL" not in out
+        assert seen and max(seen) <= 2
+
+    @pytest.mark.parametrize("suite, quantity, index", ROUTE_IDS)
+    def test_every_route_can_fail(self, capsys, monkeypatch, suite, quantity, index):
+        # A route that is never compared would pass whatever it returns.
+        reference, routes = verify.ROUTES[suite][quantity]
+        name, sizes, value = routes[index]
+        at = max(n for n in sizes if n <= 2)
+
+        def perturbed(n):
+            got = value(n)
+            if n != at:
+                return got
+            if isinstance(got, dict):
+                return {**got, -1: 1}
+            return hultman.MomentPair(got.mean + 1, got.variance)
+
+        changed = list(routes)
+        changed[index] = (name, sizes, perturbed)
+        monkeypatch.setitem(verify.ROUTES[suite], quantity, (reference, changed))
+        monkeypatch.setattr(verify, "signed_mean", _signed_mean)
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-n", "2")
+        failed = [line for line in out.splitlines() if not line.startswith("PASS ")]
+        detail = f"{name} differs from the reference at n={at}"
+        assert failed == [f"FAIL {suite}.{quantity}_{name} ({detail})"]
+        assert code == 1
 
 
 class TestRecordedDigests:

@@ -24,6 +24,7 @@ from bghultman.hultman import (
     hook_partitions,
     hultman_bona_flynn,
     hultman_new_formula,
+    new_formula_row,
     r_abs_sum,
     r_coefficient,
     r_sum,
@@ -66,6 +67,10 @@ class TestUnsignedFormulas:
         for n in range(0, 26):
             for k in range(1, n + 2):
                 assert hultman_new_formula(n, k) == hultman_bona_flynn(n, k)
+
+    def test_new_formula_row_equals_unsigned_rows(self):
+        for n, row in enumerate(hultman.unsigned_rows(40)):
+            assert new_formula_row(n) == row
 
     def test_row_totals(self):
         for n in range(0, 26):
@@ -447,6 +452,7 @@ def test_signed_nonnegative_and_bounded(n, k):
         ("signed_hultman_special", (-1, 0)),
         ("r_sum", (-1,)),
         ("r_abs_sum", (-1,)),
+        ("new_formula_row", (-1,)),
     ],
 )
 def test_negative_n_is_rejected(name, args):

@@ -338,7 +338,6 @@ def test_no_private_reach_ins():
 # Every lru_cache in the library, with the caller that repeats its argument.
 CACHED = {
     "bpgraph.grey_matching",  # cycle_lengths_images, once per permutation verify checks
-    "hultman._falling_sum_poly",  # hultman_new_formula, once per k of a row
     # GeneratorSet.moves, once per state of the tests' _tuple_bfs and of
     # perfbench's move timing; _bfs_moves's closure check and _value_tables,
     # twice per BFS run.
