@@ -3,13 +3,13 @@
 Commands: table, census, moments, dist, compare, verify.  All numeric output
 is exact; counts are decimal strings and rationals are "p/q" strings.  Float
 columns are explicitly marked as hints.  CSV and JSON alike are written as
-rows are produced, so ``table`` holds one row of counts at a time.
+rows are produced, joined into pieces of at least ``_PIECE`` characters, so
+``table`` holds one row of counts and one piece of text at a time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import chain, compress, repeat, starmap
@@ -25,13 +25,22 @@ __all__ = ["main"]
 # imports the suites; tests/test_source.py checks that the two agree.
 _SUITE_NAMES = ("bounds", "formulas", "lemmas", "moments", "table1")
 
+# Rows go out joined into pieces of at least this many characters.  With
+# stdout unbuffered (PYTHONUNBUFFERED=1) each string written is one write(2),
+# so one write per row made ~40,000 writes of `table --n 400 --format json`
+# (16 MB); 64 KiB pieces make ~250.  A row is 5 to ~1,000 characters, so the
+# pieces are measured in characters: memory holds one row and one piece,
+# where a fixed count of rows would grow with n.
+_PIECE = 1 << 16
+
 
 def _write(args: argparse.Namespace, columns: Sequence[str], document: dict[str, Any]) -> None:
     """Write ``document``, whose last value is an iterable of rows, per --format.
 
     CSV is the ``columns`` header and one line per row; JSON is what
     ``json.dumps(document, indent=2)`` would give (see ``_json_text``).  Each
-    row fills one ``str.format`` template, and text goes out as the rows come,
+    row fills one ``str.format`` template, and the filled rows go out as they
+    come, joined into pieces of at least ``_PIECE`` characters (``_pieces``),
     to stdout or to --out.  --out writes through a symlink, writes an existing
     device or FIFO in place, and replaces a regular file only once a temporary
     file beside it is complete; a symlink loop is an error.
@@ -39,7 +48,8 @@ def _write(args: argparse.Namespace, columns: Sequence[str], document: dict[str,
     *head, (container, rows) = document.items()
     if args.format == "csv":
         template = ",".join(["{}"] * len(columns)) + "\n"
-        text = chain([",".join(columns) + "\n"], starmap(template.format, rows))
+        pieces = map("".join, _pieces(starmap(template.format, rows)))
+        text = chain([",".join(columns) + "\n"], pieces)
     else:
         text = _json_text(columns, dict(head), container, rows)
     if args.out is None:
@@ -73,6 +83,19 @@ def _to_stdout(text: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _pieces(texts: Iterable[str]) -> Iterator[list[str]]:
+    """Group ``texts`` into lists of at least ``_PIECE`` characters; the last may be shorter."""
+    piece, size = [], 0
+    for text in texts:
+        piece.append(text)
+        size += len(text)
+        if size >= _PIECE:
+            yield piece
+            piece, size = [], 0
+    if piece:
+        yield piece
+
+
 # Besides its quotes, a JSON row may hold the template's newlines and the
 # printable ASCII that json.dumps writes as itself: all but '"' and '\'.
 _JSON_PLAIN = b"\n" + bytes(range(32, 127)).translate(None, b'"\\')
@@ -87,9 +110,12 @@ def _json_text(
     # "{:s}" for a str cell, so a cell unlike the first row's fails its spec.
     # A quoted cell reads as json.dumps would write it unless it holds '"',
     # '\', a control or a non-ASCII character.  Cells here are digits, "p/q"
-    # rationals and %.15g hints, but every row is checked all the same: less
-    # _JSON_PLAIN, it must leave only the template's quotes, or this raises
-    # ValueError.
+    # rationals and %.15g hints, but every row is checked all the same, once
+    # per piece: less _JSON_PLAIN, a piece must leave only its rows' template
+    # quotes, or this raises ValueError.  A cell adds characters and never
+    # removes one, so a piece passes exactly when each of its rows would.
+    import json
+
     counts = container == "counts"
     opening, closing = "{}" if counts else "[]"
     yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
@@ -106,9 +132,10 @@ def _json_text(
             )
             template = "    {{\n" + ",\n".join(fields) + "\n    }}"
         quotes = b'"' * template.count('"')
-        texts = starmap((",\n" + template).format, rows)
-        for text in chain(["\n" + template.format(*first)], texts):
-            if text.encode("ascii").translate(None, _JSON_PLAIN) != quotes:
+        texts = chain(["\n" + template.format(*first)], starmap((",\n" + template).format, rows))
+        for piece in _pieces(texts):
+            text = "".join(piece)
+            if text.encode("ascii").translate(None, _JSON_PLAIN) != quotes * len(piece):
                 raise ValueError("a string cell needs JSON escaping")
             yield text
         closing = "\n  " + closing

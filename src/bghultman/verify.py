@@ -5,13 +5,14 @@ A suite is a generator of ``(name, ok, detail)`` checks up to a size limit
 ``SUITES`` maps each suite name to its generator and its default limit.
 
 Most checks come from one table, ``ROUTES``: per suite, each quantity has a
-reference stream, ``top -> values for n = 0..top``, and its routes, each
-``(name, sizes, n -> value)`` with sizes ascending from 0.  One loop walks
-each reference once and compares every route with ``==`` at each of its
-sizes up to ``max_n``.  It gives one check per route, and a FAIL names the
-first n that disagreed.  A suite's default ``max_n`` is the largest size of
-its routes.  table1 and the lemmas run to ``max_n`` or their own limit; the
-other checks keep fixed sizes.
+reference, a stream ``top -> rows for n = 0..top`` and a reduction
+``row -> value``, and its routes, each ``(name, sizes, n -> value)`` with
+sizes ascending from 0.  One loop walks each reference stream once, reduces
+a row only at a size where some route runs, and compares every route with
+``==`` at each of its sizes up to ``max_n``.  It gives one check per route,
+and a FAIL names the first n that disagreed.  A suite's default ``max_n``
+is the largest size of its routes.  table1 and the lemmas run to ``max_n``
+or their own limit; the other checks keep fixed sizes.
 """
 
 from __future__ import annotations
@@ -108,19 +109,20 @@ def _bounds(metric: str):
         for gset, top in _BFS_ROUTES[metric].items()
     ]
     return (
-        lambda top: (distances.bound_distribution(n, metric).counts for n in range(top + 1)),
-        routes
+        lambda top: range(top + 1), lambda n: distances.bound_distribution(n, metric).counts,
+        routes,
     )
 
 
-# Per suite, quantity -> (reference stream, routes); see the module docstring.
+# Per suite, quantity -> (reference stream, reduction, routes); see the
+# module docstring.
 ROUTES = {
     "formulas": {
-        "unsigned_cycles": (lambda top: map(_counts, unsigned_rows(top)), [
+        "unsigned_cycles": (unsigned_rows, _counts, [
             ("census", _CENSUS_SIZES[0], lambda n: census.hultman_census(n).counts),
             ("falling_factorial", range(41), lambda n: _counts(new_formula_row(n))),
         ]),
-        "signed_cycles": (lambda top: map(_counts, signed_rows(top)), [
+        "signed_cycles": (signed_rows, _counts, [
             ("census", _CENSUS_SIZES[1], lambda n: census.signed_hultman_census(n).counts),
             ("hook_sum", range(41), lambda n: _counts(signed_gf(n))),
             # The matchings whose union with the shifted grey matching is one
@@ -131,13 +133,13 @@ ROUTES = {
     },
     "bounds": {metric: _bounds(metric) for metric in distances.METRICS},
     "moments": {
-        "unsigned_cycles": (lambda top: map(_moments, unsigned_rows(top)), [
+        "unsigned_cycles": (unsigned_rows, _moments, [
             ("formula", range(121), unsigned_moments),
             ("census", _CENSUS_SIZES[0],
              lambda n: census.moments_from_table(census.hultman_census(n), factorial(n))),
             ("generating_function", range(13), lambda n: _moments(unsigned_gf(n))),
         ]),
-        "signed_cycles": (lambda top: map(_moments, signed_rows(top)), [
+        "signed_cycles": (signed_rows, _moments, [
             ("formula", (*range(121), 300), signed_moments),
             ("census", _CENSUS_SIZES[1],
              lambda n: census.moments_from_table(census.signed_hultman_census(n), _order(n, True))),
@@ -148,14 +150,19 @@ ROUTES = {
 
 
 def _route_checks(suite: str, max_n: int) -> Checks:
-    # The one loop that compares routes.  Each quantity's reference is walked
-    # once, to the largest size at which one of its routes runs, and each
-    # route is compared at its sizes up to max_n until it first disagrees.
-    # Every route's sizes start at 0, so each runs at some size.
-    for quantity, (reference, routes) in ROUTES[suite].items():
+    # The one loop that compares routes.  Each quantity's reference stream is
+    # walked once, to the largest size at which one of its routes runs; a row
+    # is reduced only at a size where some route runs, and each route is
+    # compared at its sizes up to max_n until it first disagrees.  Every
+    # route's sizes start at 0, so each runs at some size.
+    for quantity, (stream, reduce, routes) in ROUTES[suite].items():
         runs = [(name, [n for n in sizes if n <= max_n], value) for name, sizes, value in routes]
+        used = {n for _, sizes, _ in runs for n in sizes}
         bad = {}
-        for n, expected in enumerate(reference(max(sizes[-1] for _, sizes, _ in runs))):
+        for n, row in enumerate(stream(max(used))):
+            if n not in used:
+                continue
+            expected = reduce(row)
             for name, sizes, value in runs:
                 if n in sizes and name not in bad and value(n) != expected:
                     bad[name] = n
@@ -247,7 +254,7 @@ def moments(max_n: int) -> Checks:
 
 
 def _largest(suite: str) -> int:
-    return max(sizes[-1] for _, routes in ROUTES[suite].values() for _, sizes, _ in routes)
+    return max(sizes[-1] for *_, routes in ROUTES[suite].values() for _, sizes, _ in routes)
 
 
 SUITES: dict[str, tuple[Callable[[int], Checks], int]] = {

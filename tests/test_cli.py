@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import stat
@@ -31,6 +32,31 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
+class Recorder:
+    """A text stream stand-in that keeps each string written to it and passes it on."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.stream.write(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stream.close()
+
+
 def parse_csv(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
@@ -51,10 +77,12 @@ def modules_after_cli_import():
 
 def test_launch_footprint():
     # dataclasses would bring inspect, ast, dis and tokenize into every
-    # launch, and only `hultman verify` runs the suites.  perfbench/layers.py
-    # reads the six layer modules from sys.modules after this import.
+    # launch, only `hultman verify` runs the suites, and only JSON output
+    # needs json.  perfbench/layers.py reads the six layer modules from
+    # sys.modules after this import.
     modules = modules_after_cli_import()
-    assert not modules & {"dataclasses", "inspect", "bghultman.verify", "bghultman.golden"}
+    forbidden = {"dataclasses", "inspect", "json", "bghultman.verify", "bghultman.golden"}
+    assert not modules & forbidden
     layers = ("exactmath", "perm", "bpgraph", "hultman", "census", "distances")
     assert {f"bghultman.{name}" for name in layers} <= modules
 
@@ -308,7 +336,8 @@ class TestOutFile(object):
 
     @staticmethod
     def check_failing_stream(tmp_path, monkeypatch, fmt):
-        # Rows 0..3 reach the temporary file before row 4 fails to divide.
+        # Row 4 fails to divide while the temporary file beside the target
+        # is open; rows 0..3 are still in the first piece, not yet written.
         target = tmp_path / f"x.{fmt}"
         target.write_bytes(b"old\n")
         seeds = [list(seed) for seed in hultman._SIGNED_SEEDS]
@@ -439,6 +468,23 @@ class TestVerify:
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
 
+    def test_reports_each_check_as_it_runs(self, monkeypatch):
+        # A long suite shows its progress: a check's line is written before
+        # the next check runs, not joined into a piece with later lines.
+        stdout = Recorder(io.StringIO())
+        seen = []
+
+        def suite(max_n):
+            yield "first", True, "one"
+            seen.append(list(stdout.writes))
+            yield "second", True, "two"
+
+        monkeypatch.setitem(verify.SUITES, "table1", (suite, 0))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["verify", "--suite", "table1"]) == 0
+        assert seen == [["PASS first (one)\n"]]
+        assert stdout.writes == ["PASS first (one)\n", "PASS second (two)\n"]
+
     def test_no_checks_is_failure(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "table1", "--max-n", "0")
         assert code == 1
@@ -450,7 +496,7 @@ class TestVerify:
 ROUTE_IDS = [
     (suite, quantity, index)
     for suite, table in verify.ROUTES.items()
-    for quantity, (_, routes) in table.items()
+    for quantity, (*_, routes) in table.items()
     for index in range(len(routes))
 ]
 
@@ -464,11 +510,11 @@ class TestRouteTable:
         bounds = verify.ROUTES["bounds"]
         assert set(bounds) == set(distances.METRICS)
         for metric, row in distances.METRICS.items():
-            names = [name for name, _, _ in bounds[metric][1]]
+            names = [name for name, _, _ in bounds[metric][-1]]
             assert ("closed_form" in names) == row.closed_form, metric
         used = {
             name.removesuffix("_bfs")
-            for _, routes in bounds.values()
+            for *_, routes in bounds.values()
             for name, _, _ in routes
             if name.endswith("_bfs")
         }
@@ -478,7 +524,7 @@ class TestRouteTable:
     def test_sizes_start_at_zero_and_set_the_default(self, suite):
         # The loop walks each reference from n = 0, and a suite's default
         # --max-n is the largest size of its routes.
-        sizes = [list(s) for _, routes in verify.ROUTES[suite].values() for _, s, _ in routes]
+        sizes = [list(s) for *_, routes in verify.ROUTES[suite].values() for _, s, _ in routes]
         assert all(s[0] == 0 and s == sorted(set(s)) for s in sizes)
         assert verify.SUITES[suite][1] == max(s[-1] for s in sizes)
 
@@ -504,10 +550,27 @@ class TestRouteTable:
         assert code == 0 and "FAIL" not in out
         assert seen and max(seen) <= 2
 
+    def test_reference_rows_reduced_only_where_a_route_runs(self, monkeypatch):
+        # The stream is walked to n = 7, but only sizes some route runs at
+        # are reduced, as moments' signed formula route runs at n <= 120 and 300.
+        reduced = []
+
+        def reduce(n):
+            reduced.append(n)
+            return n
+
+        table = {"toy": (lambda top: range(top + 1), reduce, [
+            ("a", (0, 1, 7), lambda n: n), ("b", (0, 3), lambda n: n),
+        ])}
+        monkeypatch.setitem(verify.ROUTES, "formulas", table)
+        checks = list(verify._route_checks("formulas", 40))
+        assert [ok for _, ok, _ in checks] == [True, True]
+        assert reduced == [0, 1, 3, 7]
+
     @pytest.mark.parametrize("suite, quantity, index", ROUTE_IDS)
     def test_every_route_can_fail(self, capsys, monkeypatch, suite, quantity, index):
         # A route that is never compared would pass whatever it returns.
-        reference, routes = verify.ROUTES[suite][quantity]
+        *reference, routes = verify.ROUTES[suite][quantity]
         name, sizes, value = routes[index]
         at = max(n for n in sizes if n <= 2)
 
@@ -521,7 +584,7 @@ class TestRouteTable:
 
         changed = list(routes)
         changed[index] = (name, sizes, perturbed)
-        monkeypatch.setitem(verify.ROUTES[suite], quantity, (reference, changed))
+        monkeypatch.setitem(verify.ROUTES[suite], quantity, (*reference, changed))
         monkeypatch.setattr(verify, "signed_mean", _signed_mean)
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-n", "2")
         failed = [line for line in out.splitlines() if not line.startswith("PASS ")]
@@ -667,6 +730,53 @@ class TestJsonStream:
         for rows in ([(1, "2"), ("3", "4")], [(1, "2"), (3, 4)]):
             with pytest.raises(ValueError):
                 "".join(cli._json_text(("k", "count"), {}, "rows", iter(rows)))
+
+
+class TestPieces:
+    # Under PYTHONUNBUFFERED=1 each string written to stdout is one write(2),
+    # so the rows go out joined into pieces of at least cli._PIECE characters.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_few_large_writes_same_bytes(self, monkeypatch, tmp_path, fmt):
+        payload = table_payload(200, False, False)
+        expected = dumps(payload) if fmt == "json" else csv_text(("n", "k", "count"), payload)
+        argv = ["table", "--n", "200", "--format", fmt]
+        stdout = Recorder(io.StringIO())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert stdout.stream.getvalue() == expected
+        files = []
+
+        def recording_open(*args, **kwargs):
+            files.append(Recorder(open(*args, **kwargs)))
+            return files[-1]
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        target = tmp_path / f"table.{fmt}"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_text() == expected and len(files) == 1
+        for writes in (stdout.writes, files[0].writes):
+            assert "".join(writes) == expected
+            # CSV: the header and the last piece; JSON: the head, the
+            # container's opener, the last piece and the closing.
+            short = [text for text in writes if len(text) < cli._PIECE]
+            assert len(short) <= (4 if fmt == "json" else 2), short
+            assert len(writes) <= len(expected) // cli._PIECE + len(short)
+
+    @pytest.mark.parametrize("container", ["rows", "counts"])
+    def test_piece_check_is_as_strict_as_per_row(self, container):
+        # Row 3,000 falls inside a piece of ~1,000 or ~1,600 rows, so a check
+        # of only some rows of each piece would let its quote through.
+        cells = [str(10**20 + i) for i in range(5000)]
+        keys = range(5000) if container == "rows" else map(str, range(5000))
+        rows = list(zip(keys, cells))
+        text = "".join(cli._json_text(("k", "count"), {}, container, iter(rows)))
+        if container == "counts":
+            assert text == dumps({"counts": dict(rows)})
+        else:
+            assert text == dumps({"rows": [{"k": k, "count": c} for k, c in rows]})
+        rows[3000] = (rows[3000][0], 'say "hi"')
+        with pytest.raises(ValueError):
+            "".join(cli._json_text(("k", "count"), {}, container, iter(rows)))
 
 
 # The CSV text as the CLI once wrote it, one ",".join(map(str, row)) line per
