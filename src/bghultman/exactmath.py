@@ -1,15 +1,20 @@
 """Exact arithmetic building blocks: big integers, rationals, dense integer polynomials.
 
 Every count and moment in this library is exact.  Integers are Python's
-arbitrary-precision ``int`` and rationals are ``fractions.Fraction``.
+arbitrary-precision ``int`` and rationals are ``fractions.Fraction``; the
+one exception is the route that prints the unsigned table,
+``hultman.unsigned_decimal_rows``, whose integers are exact ``Decimal``s
+because ``str()`` of a ``Decimal`` is linear in its digits and of an ``int``
+quadratic.
 ``exact_div`` is the one exactness check: every division that must leave
-no remainder goes through it, whether of integers or of polynomials by a
-monic divisor.  A negative size is rejected by ``perm.check_nonnegative``,
-the library's one check for it.  The ``Polynomial`` class stores int
-coefficients densely in ascending-degree order, which is the right shape for
-factorial polynomials and generating functions whose degree stays small (at
-most a few hundred here); a rational combination is summed over a common
-denominator and divided exactly at the end.  Products of linear factors are
+no remainder goes through it, whether of integers (``int`` or ``Decimal``)
+or of polynomials by a monic divisor.  A negative size is rejected by
+``perm.check_nonnegative``, the library's one check for it.  The
+``Polynomial`` class stores int coefficients densely in ascending-degree
+order, which is the right shape for factorial polynomials and generating
+functions whose degree stays small (at most a few hundred here); a rational
+combination is summed over a common denominator and divided exactly at the
+end.  Products of linear factors are
 built one factor at a time (``times_linear``), and a known linear factor is
 taken out again (``over_linear``) by ``exact_div``, whose long division by a
 monic divisor costs O(degree) steps when that divisor is linear.  Nothing

@@ -21,6 +21,12 @@ by guessing (scripts/guess_recurrence.py, linear algebra over signed_gf(0..16))
 and is not proved.  The tests check it against the hook sum for n <= 40 and
 n = 60, 80, 100, 120, and `verify --suite formulas` for n <= 40; every n <= 120
 and n = 150 were checked once by hand.
+Every count here is an int, except in the stream that `hultman table`
+prints: unsigned_decimal_rows runs unsigned_rows' recurrence on exact
+Decimal integers, since str() of an int is quadratic in its digits and the
+unsigned counts reach 869 digits at n = 400, while a Decimal prints in
+linear time.  The signed table stays on int: its four-term recurrence ran
+no faster on Decimal.
 Generating functions for both cases yield exact means and variances, which
 are also available directly as harmonic-number formulas.  The signed ones
 carry correction sums over the index set A_n, folded from one walk over A_n
@@ -36,8 +42,20 @@ ExactnessError, which always indicates a bug rather than bad input.
 from __future__ import annotations
 
 from collections import deque
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import factorial, lcm
 from typing import Iterator
 
@@ -62,6 +80,7 @@ __all__ = [
     "hultman_new_formula",
     "new_formula_row",
     "unsigned_rows",
+    "unsigned_decimal_rows",
     "signed_rows",
     "cycle_row",
     "f_lambda_poly",
@@ -122,22 +141,60 @@ def hook_partitions(n: int) -> Iterator[HookPartition]:
     return chain(hooks, [HookPartition(n + 1, 0, n)])
 
 
+# Exact decimal integers: any rounding traps, so no Decimal operation can
+# lose a digit, and none runs at the default 28.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow],
+)
+
+
+def _unsigned_coefficients(max_n: int, number: type) -> Iterator[list]:
+    # Row n as the list of its x^0..x^(n+2) coefficients, each a `number`
+    # (int or Decimal): rising <- rising * (x+n+1), then the coefficients
+    # with n - k odd over C(n+2, 2), through exact_div.  rising is updated in
+    # place from the top down, so each old coefficient is freed as it is
+    # replaced; a new list per step kept both alive, ~0.15 MiB more peak RSS
+    # for Decimal at n = 400.  Decimal arithmetic runs in _EXACT, left before
+    # each row is yielded so that a caller's context never changes; int
+    # arithmetic ignores it.
+    check_nonnegative(max_n, "max_n")
+
+    def rows() -> Iterator[list]:
+        zero = number(0)
+        rising = [zero, number(1)]
+        for n in range(max_n + 1):
+            with localcontext(_EXACT):
+                factor = number(n + 1)
+                rising.append(zero)
+                for k in range(n + 2, 0, -1):
+                    rising[k] = rising[k - 1] + factor * rising[k]
+                row = [zero] * len(rising)
+                odd = (n + 1) % 2  # the first k with n - k odd
+                row[odd::2] = map(exact_div, rising[odd::2], repeat(binomial(n + 2, 2)))
+            yield row
+
+    return rows()
+
+
 def unsigned_rows(max_n: int) -> Iterator[Polynomial]:
     """Rows n = 0..max_n of hultman_bona_flynn, each equal to unsigned_gf(n).
 
     Row n keeps the x^k coefficients of x(x+1)...(x+n+1) with n - k odd, over C(n+2, 2).
     """
-    check_nonnegative(max_n, "max_n")
+    return map(Polynomial, _unsigned_coefficients(max_n, int))
 
-    def rows() -> Iterator[Polynomial]:
-        rising = Polynomial((0, 1))
-        for n in range(max_n + 1):
-            rising = rising.times_linear(n + 1)
-            den = binomial(n + 2, 2)
-            row = [exact_div(c, den) if (n - k) % 2 else 0 for k, c in enumerate(rising.coeffs)]
-            yield Polynomial(tuple(row))
 
-    return rows()
+def unsigned_decimal_rows(max_n: int) -> Iterator[list[Decimal]]:
+    """The rows of unsigned_rows as exact Decimal integers, for printing.
+
+    Entry k of row n is the x^k coefficient, for k = 0..n+2, zeros included.
+    str() of a Decimal integer gives the digits of the int in time linear in
+    their number, where str() of an int is quadratic; the counts of
+    `table --n 400` run to 869 digits.
+    """
+    return _unsigned_coefficients(max_n, Decimal)
 
 
 def hultman_bona_flynn(n: int, k: int) -> int:

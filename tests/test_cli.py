@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import hashlib
 import io
 import json
@@ -77,8 +78,8 @@ def modules_after_cli_import():
 
 def test_launch_footprint():
     # dataclasses would bring inspect, ast, dis and tokenize into every
-    # launch, only `hultman verify` runs the suites, and only JSON output
-    # needs json.  perfbench/layers.py reads the six layer modules from
+    # launch, only `hultman verify` runs the suites, and no command needs
+    # json.  perfbench/layers.py reads the six layer modules from
     # sys.modules after this import.
     modules = modules_after_cli_import()
     forbidden = {"dataclasses", "inspect", "json", "bghultman.verify", "bghultman.golden"}
@@ -127,6 +128,20 @@ class TestTable:
         assert len(counts) == 28 and all(isinstance(count, str) for count in counts)
         _, csv_rows = parse_csv(csv_out)
         assert [[str(r["n"]), str(r["k"]), r["count"]] for r in payload["rows"]] == csv_rows
+
+    def test_decimal_context_unchanged(self, capsys):
+        # The unsigned rows are computed in an exact Decimal context of their
+        # own; the caller's is the same between rows and after the table.
+        def state():
+            ctx = decimal.getcontext()
+            return ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, dict(ctx.traps)
+
+        before = state()
+        rows = hultman.unsigned_decimal_rows(60)
+        next(rows)
+        assert state() == before
+        assert run_cli(capsys, "table", "--n", "60")[0] == 0
+        assert state() == before
 
 
 class TestCensus:
@@ -695,7 +710,7 @@ class TestJsonStream:
 
     def test_empty_containers(self, capsys, monkeypatch):
         # No command yields an empty container today; json.dumps writes them as [] and {}.
-        monkeypatch.setattr(cli, "unsigned_rows", lambda n: iter(()))
+        monkeypatch.setattr(cli, "unsigned_decimal_rows", lambda n: iter(()))
         monkeypatch.setattr(
             census, "hultman_census", lambda n, force: census.DistributionTable(n, "cycles", {})
         )
@@ -725,6 +740,21 @@ class TestJsonStream:
         except ValueError:
             return
         assert text == dumps(payload)
+
+    @pytest.mark.parametrize("container", ["rows", "counts"])
+    def test_newline_in_a_cell(self, container):
+        # The template's own newlines pass; one inside a quoted cell would be
+        # a raw newline in a JSON string, which json.loads rejects.
+        key = "1" if container == "counts" else 1
+        with pytest.raises(ValueError):
+            "".join(cli._json_text(("k", "count"), {}, container, iter([(key, "a\nb")])))
+
+    @pytest.mark.parametrize("value", ['say "hi"', "tab\t", "é", 1.5, True])
+    def test_head_value_json_would_not_write_as_is(self, value):
+        # Keys, head values and column names are quoted without json; any
+        # value json.dumps would escape or write otherwise raises.
+        with pytest.raises(ValueError):
+            "".join(cli._json_text(("k", "count"), {"n": value}, "rows", iter([])))
 
     def test_cell_type_differs_from_first_row(self):
         for rows in ([(1, "2"), ("3", "4")], [(1, "2"), (3, 4)]):

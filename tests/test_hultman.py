@@ -72,6 +72,20 @@ class TestUnsignedFormulas:
         for n, row in enumerate(hultman.unsigned_rows(40)):
             assert new_formula_row(n) == row
 
+    def test_decimal_rows_print_as_unsigned_rows(self):
+        # `table` prints the Decimal stream; the int stream is its reference,
+        # digit for digit, zeros and the x^(n+2) place included.
+        decimal_rows = hultman.unsigned_decimal_rows(400)
+        for n, (row, ref) in enumerate(zip(decimal_rows, hultman.unsigned_rows(400))):
+            assert list(map(str, row)) == list(map(str, (*ref.coeffs, 0))), n
+        assert next(decimal_rows, None) is None
+
+    @pytest.mark.parametrize("name", ["unsigned_rows", "unsigned_decimal_rows"])
+    def test_off_by_one_divisor_is_inexact(self, monkeypatch, name):
+        monkeypatch.setattr(hultman, "binomial", lambda n, k: binomial(n, k) + 1)
+        with pytest.raises(ExactnessError):
+            list(getattr(hultman, name)(5))
+
     def test_row_totals(self):
         for n in range(0, 26):
             assert sum(hultman_bona_flynn(n, k) for k in range(1, n + 2)) == factorial(n)
@@ -460,7 +474,7 @@ def test_negative_n_is_rejected(name, args):
         getattr(hultman, name)(*args)
 
 
-@pytest.mark.parametrize("name", ["unsigned_rows", "signed_rows"])
+@pytest.mark.parametrize("name", ["unsigned_rows", "unsigned_decimal_rows", "signed_rows"])
 def test_row_stream_rejects_negative_max_n(name):
     # At the call, before the stream is read.
     with pytest.raises(ValueError, match=r"^max_n must be >= 0, got -1$"):

@@ -41,7 +41,8 @@ def _floor_interpreter():
 
 def test_commands_run_on_declared_floor(capsys):
     # The benchmark self-test's tiny commands against their recorded digests;
-    # a transposition BFS, which takes the toric orbits, and the five verify
+    # a transposition BFS, which takes the toric orbits, two unsigned tables
+    # with counts past 28 digits, printed from Decimal, and the five verify
     # suites, which between them compare every kind of value record, against
     # this interpreter's output; and three command lines the parser rejects,
     # since argparse calls error() from different places in different versions.
@@ -56,7 +57,9 @@ def test_commands_run_on_declared_floor(capsys):
     )
     digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
     here = {}
-    for command in ["dist --metric transposition --n 6"] + [
+    for command in [
+        "dist --metric transposition --n 6", "table --n 60 --format json", "table --n 60 --dense"
+    ] + [
         f"verify --suite {suite}" for suite in cli._SUITE_NAMES
     ]:
         assert cli.main(command.split()) == 0, command
@@ -98,9 +101,8 @@ class _RaiseSites(ast.NodeVisitor):
             self.sites[exc.id].append(f"{self.where[0]}.{self.where[-1]}")
 
 
-def test_no_dataclasses_import():
-    # dataclasses brings inspect, ast, dis and tokenize into every launch, and
-    # each decoration execs generated code; the records are __slots__ classes.
+def _importers(package):
+    # "<module>:<line>" of every library import of ``package`` or its submodules.
     imports = []
     for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -110,9 +112,21 @@ def test_no_dataclasses_import():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+            if any(m.partition(".")[0] == package for m in modules):
                 imports.append(f"{path.stem}:{node.lineno}")
-    assert imports == []
+    return imports
+
+
+def test_no_dataclasses_import():
+    # dataclasses brings inspect, ast, dis and tokenize into every launch, and
+    # each decoration execs generated code; the records are __slots__ classes.
+    assert _importers("dataclasses") == []
+
+
+def test_one_module_imports_decimal():
+    # Every count is an int; only hultman.unsigned_decimal_rows builds
+    # Decimal integers, which `table` prints in linear time.
+    assert [site.partition(":")[0] for site in _importers("decimal")] == ["hultman"]
 
 
 def test_cli_spells_the_verify_suites():
