@@ -42,6 +42,21 @@ mirror), and below n = 3 for every unsigned set.  From n = 3 on the three
 prefix sets expand every state.  Each image of a state found at a level is
 counted there without being expanded.
 
+The BFS runs in two phases (Beamer, Asanovic & Patterson, SC 2012).
+Top-down, each round expands the frontier: every move of one state of each
+orbit on it, looked up in the set of states seen so far.  Once fewer states
+are unreached than lie on the last level, it turns bottom-up for good: a
+round tests each state not reached yet and keeps it when one of its moves
+lands in the last level, stopping at the first that does.  That is exact
+because the levels of two states one move apart differ by at most one.  The
+first bottom-up round streams the whole group lazily, each permutation of
+the positive codes and, for a signed set, each of those under one
+sign-flip translate table per sign pattern, past the set seen; later rounds
+test only the states still unreached, against the last level's set alone.
+The switch compares the moves out of the unreached states with the moves out
+of the last level, both counted per state, so the number of generators
+cancels and an orbit counts at its full width; it needs no tuning.
+
 Each cycle-based metric is one row of ``METRICS``: its group (signed or
 unsigned), the ``bpgraph.CYCLE_WEIGHTS`` row whose per-cycle sum it reads,
 and its formula in n and that sum.  The per-permutation functions, the
@@ -52,7 +67,11 @@ reads ``hultman.cycle_row`` if the weight row weighs every cycle 1, else the cen
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import (
+    chain, combinations_with_replacement, filterfalse, permutations, product, starmap
+)
+from math import factorial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import bpgraph
@@ -247,14 +266,15 @@ def _toric_images(state: bytes, subtract: tuple[bytes, ...]) -> list[bytes]:
 
 def _bfs_moves(
     n: int, name: str, force: bool
-) -> tuple[tuple[bytes, ...], Callable[[bytes], Iterable[bytes]] | None]:
+) -> tuple[tuple[bytes, ...], Callable[[bytes], Iterable[bytes]] | None, bool]:
     # The checks every BFS makes before it builds anything, then its move
-    # tables (see _value_tables) and its orbit map, or None.  Each candidate
-    # symmetry maps a state to a list of its images, the state first: the
-    # toric shifts for unsigned sets, and the mirror for every set, whose
-    # table maps v to sgn(v) * (n + 1 - |v|) by reversing the positive codes
-    # and the negative ones.  A candidate is kept when it maps the generators
-    # onto themselves, which is checked at this size, not declared per set.
+    # tables (see _value_tables), its orbit map, or None, and whether its
+    # group is signed.  Each candidate symmetry maps a state to a list of its
+    # images, the state first: the toric shifts for unsigned sets, and the
+    # mirror for every set, whose table maps v to sgn(v) * (n + 1 - |v|) by
+    # reversing the positive codes and the negative ones.  A candidate is
+    # kept when it maps the generators onto themselves, which is checked at
+    # this size, not declared per set.
     gset = GeneratorSet(name)
     check_size(n, BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD, force, f"{name} BFS")
     if n >= 128:
@@ -277,44 +297,77 @@ def _bfs_moves(
     candidates = [mirror] if gset.signed else [shifts, mirror]
     kept = [f for f in candidates if all(codes.issuperset(f(code)) for code in codes)]
     orbit = shifts_then_mirror if len(kept) == 2 else kept[0] if kept else None
-    return _value_tables(name, n), orbit
+    return _value_tables(name, n), orbit, gset.signed
+
+
+def _group_codes(n: int, signed: bool) -> Iterator[bytes]:
+    # Every element of the group once, lazily, as a BFS state: each
+    # permutation of the positive codes, and in the signed group each of
+    # those under each of the 2^n tables that negate one subset of values.
+    positive = bytes(range(n + 1, 2 * n + 1))
+    perms = map(bytes, permutations(positive))
+    if not signed:
+        return perms
+    signs = [bytes.maketrans(positive, bytes(f)) for f in product(*zip(positive, range(n)[::-1]))]
+    return chain.from_iterable(map(perm.translate, signs) for perm in perms)
 
 
 def _bfs_levels(
-    n: int, tables: tuple[bytes, ...], orbit: Callable[[bytes], Iterable[bytes]] | None
+    n: int,
+    tables: tuple[bytes, ...],
+    orbit: Callable[[bytes], Iterable[bytes]] | None,
+    signed: bool,
 ) -> Iterator[tuple[int, list[bytes]]]:
-    # The BFS from the identity, level by level: each level's size and the
-    # states expanded at it, as byte codes; each move is one translate by a
-    # generator's table.  With an orbit map only one state of each orbit is
-    # expanded, which is exact because each symmetry in it maps the moves of
-    # a state onto the moves of its image (module docstring).  The images of
-    # a new state are new too: they lie at its depth, and seen only ever
-    # holds whole orbits.  They are marked seen, and so counted in the
-    # level's size, but never expanded.
+    # The BFS from the identity, level by level: each level's size and one
+    # state of each orbit on it, as byte codes; each move is one translate by
+    # a generator's table.  Keeping one state per orbit is exact because each
+    # symmetry in the orbit map maps the moves of a state onto the moves of
+    # its image (module docstring).  A round lists states one move from the
+    # last level: top-down every move of the frontier, bottom-up every
+    # unreached state with a move into seen.  It keeps each listed state not
+    # yet seen and marks its orbit seen, so seen holds whole orbits and a
+    # level's size is how much seen grew.  Bottom-up, seen is every earlier
+    # level in the first round and the last level alone after it.  A
+    # bottom-up round drops the top-down frontier before it splits the
+    # unreached states, and builds the new level's set only after the split,
+    # in place of the old one, so no two sets near the size of the group are
+    # alive at once.
     frontier = [bytes(range(n + 1, 2 * n + 1))]
-    seen = set(frontier)
-    size = 1
+    seen, known, rest = set(frontier), 0, None
+    unreached = factorial(n) << n * signed
     while frontier:
-        yield size, frontier
-        known = len(seen)
-        nxt = []
-        for state in frontier:
-            for nb in map(state.translate, tables):
-                if nb not in seen:
-                    nxt.append(nb)
-                    if orbit is None:
-                        seen.add(nb)
-                    else:
-                        seen.update(orbit(nb))
-        frontier = nxt
         size = len(seen) - known
+        unreached -= size
+        yield size, frontier
+        if not unreached:
+            return
+        # Bottom-up once fewer states are unreached than lie on the last
+        # level (module docstring).  The decision is final: the rounds after
+        # it keep no set of the earlier levels to expand against.
+        if rest is None and unreached >= size:
+            near = starmap(bytes.translate, product(frontier, tables))
+        else:
+            frontier = None
+            if rest is None:
+                rest = filterfalse(seen.__contains__, _group_codes(n, signed))
+            near, later = [], []
+            for state in rest:
+                (later if seen.isdisjoint(map(state.translate, tables)) else near).append(state)
+            rest, seen = later, set()
+        known, frontier = len(seen), []
+        for state in filterfalse(seen.__contains__, near):
+            frontier.append(state)
+            if orbit is None:
+                seen.add(state)
+            else:
+                seen.update(orbit(state))
 
 
 def bfs_distances(n: int, generator_set: str, force: bool = False) -> dict[Images, int]:
     """Exact sorting distance of every group element, by BFS from identity."""
-    tables, orbit = _bfs_moves(n, generator_set, force)
+    tables, orbit, signed = _bfs_moves(n, generator_set, force)
     dist = {}
-    for d, (_, level) in enumerate(_bfs_levels(n, tables, orbit)):
+    for d, (_, level) in enumerate(_bfs_levels(n, tables, orbit, signed)):
         for state in level:
             for image in (state,) if orbit is None else orbit(state):
                 dist[tuple([code - n for code in image])] = d
@@ -324,7 +377,9 @@ def bfs_distances(n: int, generator_set: str, force: bool = False) -> dict[Image
 def bfs_level_sizes(n: int, generator_set: str, force: bool = False) -> dict[int, int]:
     """The number of group elements at each BFS distance from the identity."""
     levels = _bfs_levels(n, *_bfs_moves(n, generator_set, force))
-    return {d: size for d, (size, _) in enumerate(levels)}
+    # itemgetter drops each level's states at once, so that the bottom-up
+    # rounds can free the last top-down frontier.
+    return dict(enumerate(map(itemgetter(0), levels)))
 
 
 def bound_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:

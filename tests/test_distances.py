@@ -4,9 +4,12 @@ from math import factorial
 
 import pytest
 
+from bghultman import cli
 from bghultman import distances as D
 from bghultman.census import SIGNED_CENSUS_GUARD, UNSIGNED_CENSUS_GUARD
 from bghultman.distances import (
+    BFS_SIGNED_GUARD,
+    BFS_UNSIGNED_GUARD,
     GENERATOR_SETS,
     GeneratorSet,
     bfs_distances,
@@ -356,6 +359,67 @@ class TestBFS:
                 dist = bfs_distances(n, name)
                 assert dist == _tuple_bfs(gset, tuple(range(1, n + 1))), (name, n)
                 assert bfs_level_sizes(n, name) == Counter(dist.values()), (name, n)
+
+    # The level sizes at the guards as a plain top-down BFS counts them,
+    # expanding every state; below the guards test_byte_bfs_equals_tuple_bfs
+    # checks every size against _tuple_bfs.
+    GUARD_LEVELS = {
+        "reversal": [1, 28, 487, 4642, 16445, 16604, 2111, 2],
+        "prefix_reversal": [1, 7, 42, 251, 1191, 4281, 10561, 15011, 8520, 455],
+        "transposition": [1, 84, 1932, 13467, 22000, 2836],
+        "prefix_transposition": [1, 28, 532, 4970, 18096, 15532, 1161],
+        "block_interchange": [1, 210, 5985, 26060, 8064],
+        "signed_reversal": [1, 21, 245, 2170, 8820, 19495, 15148, 180],
+        "prefix_signed_reversal": [1, 6, 30, 150, 675, 2340, 6604, 12795, 15519, 6957, 959, 43, 1],
+    }
+
+    def test_levels_at_the_guards(self):
+        assert set(self.GUARD_LEVELS) == set(GENERATOR_SETS)
+        for name, gset in GENERATOR_SETS.items():
+            n = BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD
+            assert list(bfs_level_sizes(n, name).values()) == self.GUARD_LEVELS[name], name
+
+    def test_bottom_up_runs_for_the_bfs_workload(self, monkeypatch, capsys):
+        # The commands of perfbench's bfs_oracle workload each switch to
+        # bottom-up rounds, which stream the group once.
+        streamed = []
+        stream = D._group_codes
+        monkeypatch.setattr(D, "_group_codes", lambda *args: streamed.append(args) or stream(*args))
+        for command in [
+            "dist --metric signed_reversal --n 6",
+            "dist --metric transposition --n 8",
+            "compare --metric prefix_signed_reversal --n 6",
+        ]:
+            assert cli.main(command.split()) == 0, command
+        assert streamed == [(6, True), (8, False), (6, True)]
+        capsys.readouterr()
+
+    def test_smallest_sizes(self):
+        # Every set has no generators at n = 0, and the unsigned ones none at
+        # n = 1 either: their whole group is the identity.
+        signed_rows = {"signed_reversal": [1, 3, 3, 1], "prefix_signed_reversal": [1, 2, 2, 2, 1]}
+        for name, gset in GENERATOR_SETS.items():
+            assert D._generators(name, 0) == ()
+            assert (D._generators(name, 1) == ()) is not gset.signed
+            rows = [[1], [1, 1] if gset.signed else [1], signed_rows.get(name, [1, 1])]
+            for n, row in enumerate(rows):
+                assert list(bfs_level_sizes(n, name).values()) == row, (name, n)
+                assert Counter(bfs_distances(n, name).values()) == dict(enumerate(row)), (name, n)
+
+    def test_group_codes(self):
+        # The bottom-up rounds' stream: an iterator over every group element
+        # once, each a valid permutation in the byte encoding v + n.
+        for signed, top in ((False, 7), (True, 5)):
+            for n in range(top + 1):
+                codes = D._group_codes(n, signed)
+                assert iter(codes) is codes
+                codes = list(codes)
+                order = factorial(n) << n * signed
+                assert len(codes) == len(set(codes)) == order, (signed, n)
+                for code in codes:
+                    images = [c - n for c in code]
+                    assert validate(images).images == tuple(images)
+                    assert signed or min(images, default=1) > 0
 
     @staticmethod
     def _check_orbit_length(name, n):

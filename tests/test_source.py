@@ -41,11 +41,13 @@ def _floor_interpreter():
 
 def test_commands_run_on_declared_floor(capsys):
     # The benchmark self-test's tiny commands against their recorded digests;
-    # a transposition BFS, which takes the toric orbits, two unsigned tables
-    # with counts past 28 digits, printed from Decimal, and the five verify
-    # suites, which between them compare every kind of value record, against
-    # this interpreter's output; and three command lines the parser rejects,
-    # since argparse calls error() from different places in different versions.
+    # a transposition BFS, which takes the toric orbits, a signed reversal
+    # BFS, which takes the mirror, and a prefix signed reversal BFS, each
+    # ending in bottom-up rounds, two unsigned tables with counts past 28
+    # digits, printed from Decimal, and the five verify suites, which between
+    # them compare every kind of value record, against this interpreter's
+    # output; and three command lines the parser rejects, since argparse calls
+    # error() from different places in different versions.
     exe = _floor_interpreter()
     if exe is None:
         pytest.skip("no Python 3.10 interpreter found")
@@ -58,7 +60,9 @@ def test_commands_run_on_declared_floor(capsys):
     digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
     here = {}
     for command in [
-        "dist --metric transposition --n 6", "table --n 60 --format json", "table --n 60 --dense"
+        "dist --metric transposition --n 6", "dist --metric signed_reversal --n 5",
+        "dist --metric prefix_signed_reversal --n 5", "table --n 60 --format json",
+        "table --n 60 --dense",
     ] + [
         f"verify --suite {suite}" for suite in cli._SUITE_NAMES
     ]:
