@@ -171,9 +171,7 @@ def union_cycle_lengths(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def union_cycle_count(a: Sequence[int], b: Sequence[int]) -> int:
-    if len(a) != len(b):
-        raise ValueError("matchings live on different vertex sets")
-    return len(_union_lengths(a, b))
+    return len(union_cycle_lengths(a, b))
 
 
 class Configuration:

@@ -27,8 +27,11 @@ A statistic is a sum of per-cycle weights, one row of bpgraph.CYCLE_WEIGHTS:
 the cycle count, the odd-cycle count, or the weight behind the prefix bounds
 in the distances module.  Each state carries its counts by weighted sum as
 one packed integer, so closing a cycle is a shift, and prefixes that reach
-the same state add their counts.  One DP run covers the whole group.  The
-matching census walks perfect matchings instead.
+the same state add their counts.  One DP run covers the whole group.
+
+``weighted_census`` is the census entry: the census guard, then one DP run.
+The three census tables and the distances module's bound tables read its
+counts.  The matching census walks perfect matchings instead.
 """
 
 from __future__ import annotations
@@ -36,13 +39,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import bpgraph, perm
 from .hultman import MomentPair
 
 __all__ = [
     "DistributionTable",
+    "weighted_census",
     "hultman_census",
     "signed_hultman_census",
     "odd_hultman_census",
@@ -185,33 +189,24 @@ def _weighted_census(n: int, signed: bool, weight: str) -> dict[int, int]:
     return table
 
 
-def _run_census(
-    n: int,
-    signed: bool,
-    weight: str,
-    statistic: str,
-    force: bool,
-    value: Callable[[int], int] | None = None,
-) -> DistributionTable:
-    """Distribution of ``value(weighted cycle sum)`` over the group.
+def weighted_census(n: int, signed: bool, weight: str, force: bool = False) -> dict[int, int]:
+    """Counts by weighted cycle sum over S_n or the signed group.
 
-    Without ``value`` the statistic is the weighted cycle sum itself.
+    ``weight`` names a bpgraph.CYCLE_WEIGHTS row.  The census guard, then
+    one DP run over the whole group.
     """
     perm.check_size(n, SIGNED_CENSUS_GUARD if signed else UNSIGNED_CENSUS_GUARD, force, "census")
-    counts: Counter[int] = Counter()
-    for total, count in _weighted_census(n, signed, weight).items():
-        counts[total if value is None else value(total)] += count
-    return DistributionTable(n, statistic, dict(counts))
+    return _weighted_census(n, signed, weight)
 
 
 def hultman_census(n: int, force: bool = False) -> DistributionTable:
     """Counts of breakpoint-graph cycle numbers over all of S_n."""
-    return _run_census(n, False, "c", "unsigned_cycles", force)
+    return DistributionTable(n, "unsigned_cycles", weighted_census(n, False, "c", force))
 
 
 def signed_hultman_census(n: int, force: bool = False) -> DistributionTable:
     """Counts of breakpoint-graph cycle numbers over all signed permutations."""
-    return _run_census(n, True, "c", "signed_cycles", force)
+    return DistributionTable(n, "signed_cycles", weighted_census(n, True, "c", force))
 
 
 def odd_hultman_census(n: int, force: bool = False) -> DistributionTable:
@@ -221,7 +216,7 @@ def odd_hultman_census(n: int, force: bool = False) -> DistributionTable:
     cycle type (Alexeev, Pologova & Alekseyev, J. Comput. Biol. 2017); the
     library has only the census route for them for now.
     """
-    return _run_census(n, False, "c_odd", "unsigned_odd_cycles", force)
+    return DistributionTable(n, "unsigned_odd_cycles", weighted_census(n, False, "c_odd", force))
 
 
 def matching_census(n: int, force: bool = False) -> dict[tuple[int, int], int]:

@@ -71,11 +71,11 @@ from itertools import (
     chain, combinations_with_replacement, filterfalse, permutations, product, starmap
 )
 from math import factorial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import bpgraph
-from .census import DistributionTable, _run_census
+from .census import DistributionTable, weighted_census
 from .exactmath import exact_div
 from .hultman import cycle_row
 from .perm import PermutationError, SignedPermutation, check_nonnegative, check_size
@@ -293,11 +293,12 @@ def _bfs_moves(
         images += [s[::-1].translate(flip) for s in images]
         return images
 
-    codes = {bytes([n + v for v in g]) for g in _generators(name, n)}
+    tables = _value_tables(name, n)
+    codes = set(map(positive.translate, tables))
     candidates = [mirror] if gset.signed else [shifts, mirror]
     kept = [f for f in candidates if all(codes.issuperset(f(code)) for code in codes)]
     orbit = shifts_then_mirror if len(kept) == 2 else kept[0] if kept else None
-    return _value_tables(name, n), orbit, gset.signed
+    return tables, orbit, gset.signed
 
 
 def _group_codes(n: int, signed: bool) -> Iterator[bytes]:
@@ -389,9 +390,13 @@ def bound_distribution(n: int, metric: str, force: bool = False) -> Distribution
     weight row weighs every cycle 1 it must agree with distance_distribution.
     """
     if metric not in METRICS:
-        raise ValueError(f"unknown bound metric {metric!r}")
+        raise ValueError(f"unknown metric {metric!r}")
     signed, weight, value = METRICS[metric]
-    return _run_census(n, signed, weight, metric, force, partial(value, n))
+    counts: dict[int, int] = {}
+    for total, count in weighted_census(n, signed, weight, force).items():
+        k = value(n, total)
+        counts[k] = counts.get(k, 0) + count
+    return DistributionTable(n, metric, counts)
 
 
 def distance_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:
@@ -447,16 +452,11 @@ def compare_to_shifted(n: int, metric: str, force: bool = False) -> ComparisonRe
     step = 1 if signed else 2
     row = cycle_row(n, signed).coeffs
 
-    def shifted_counts(m: int) -> dict[int, int]:
-        return {} if m % step else {(n + 1 - c + m) // step: v for c, v in enumerate(row) if v}
-
-    def total_variation(m: int) -> int:
-        shifted = shifted_counts(m)
-        return sum(abs(dist.get(k, 0) - shifted.get(k, 0)) for k in set(dist) | set(shifted))
+    def fit(m: int) -> ComparisonResult:
+        shifted = {} if m % step else {(n + 1 - c + m) // step: v for c, v in enumerate(row) if v}
+        keys = sorted(set(dist) | set(shifted))
+        rows = tuple((k, dist.get(k, 0), shifted.get(k, 0)) for k in keys)
+        return ComparisonResult(n, metric, m, sum(abs(d - s) for _, d, s in rows), rows)
 
     # min keeps the first minimum, so a tie goes to the smaller offset.
-    best_m = min(range(-(n + 1), n + 2), key=total_variation)
-    shifted = shifted_counts(best_m)
-    keys = sorted(set(dist) | set(shifted))
-    rows = tuple((k, dist.get(k, 0), shifted.get(k, 0)) for k in keys)
-    return ComparisonResult(n, metric, best_m, sum(abs(d - s) for _, d, s in rows), rows)
+    return min(map(fit, range(-(n + 1), n + 2)), key=attrgetter("total_variation"))

@@ -286,14 +286,14 @@ def c_lambda(lam: HookPartition) -> Fraction:
     return Fraction(num, den)
 
 
-def _hook_polys(n: int) -> Iterator[Polynomial]:
-    # F for each shape of hook_partitions(n) in turn.  A shape (a, b) with
-    # a > b >= 1 follows (a-1, b) in its row, so it is that F times
+def _hook_polys(shapes: list[HookPartition]) -> Iterator[Polynomial]:
+    # F for each shape in turn, the shapes in hook_partitions order.  A shape
+    # (a, b) with a > b >= 1 follows (a-1, b) in its row, so it is that F times
     # (x+2a-2) over (x+a+b-3-n): one multiply and one exact division, O(n)
     # each.  Any other shape (the first of a row, the single-row shape) is a
     # full product.
-    for lam in hook_partitions(n):
-        a, b = lam.a, lam.b
+    for lam in shapes:
+        a, b, n = lam.a, lam.b, lam.n
         if a > b >= 1:
             poly = poly.times_linear(2 * a - 2).over_linear(a + b - 3 - n)
         else:
@@ -316,7 +316,7 @@ def signed_gf(n: int) -> Polynomial:
     weights = [c_lambda(lam) * f_lambda_deriv_at_zero(lam) for lam in shapes]
     den = lcm(*(w.denominator for w in weights))
     total = Polynomial.zero()
-    for poly, w in zip(_hook_polys(n), weights):
+    for poly, w in zip(_hook_polys(shapes), weights):
         total = total + poly * (w.numerator * (den // w.denominator))
     return Polynomial(tuple(exact_div(c, den) for c in total.coeffs))
 

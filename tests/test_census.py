@@ -13,6 +13,7 @@ from bghultman.census import (
     moments_from_table,
     odd_hultman_census,
     signed_hultman_census,
+    weighted_census,
 )
 from bghultman.hultman import (
     MomentPair,
@@ -54,6 +55,30 @@ class TestCycleCensuses:
             hultman_census(census.UNSIGNED_CENSUS_GUARD + 1)
         with pytest.raises(GuardError):
             signed_hultman_census(census.SIGNED_CENSUS_GUARD + 1)
+
+
+class TestWeightedCensus:
+    """The one census entry: the guard, then one DP run."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_guard(self, signed, monkeypatch):
+        guard = census.SIGNED_CENSUS_GUARD if signed else census.UNSIGNED_CENSUS_GUARD
+        with pytest.raises(GuardError, match=f"^size {guard + 1} exceeds the census guard"):
+            weighted_census(guard + 1, signed, "c_odd")
+        # force hands the size on to the DP, which is not run here.
+        monkeypatch.setattr(census, "_weighted_census", lambda *args: args)
+        assert weighted_census(guard + 1, signed, "c_odd", force=True) == (guard + 1, signed, "c_odd")
+
+    def test_negative_n(self):
+        for signed in (False, True):
+            with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+                weighted_census(-1, signed, "c")
+
+    def test_counts_of_the_census_tables(self):
+        for n in range(0, 8):
+            assert weighted_census(n, False, "c") == hultman_census(n).counts
+            assert weighted_census(n, True, "c") == signed_hultman_census(n).counts
+            assert weighted_census(n, False, "c_odd") == odd_hultman_census(n).counts
 
 
 def _images(n, signed):

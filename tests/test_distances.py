@@ -238,9 +238,9 @@ class TestDistributions:
             assert bound_distribution(n, metric).counts == expected, n
 
     def test_unknown_metric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown metric 'nope'$"):
             distance_distribution(3, "nope")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown metric 'reversal'$"):
             bound_distribution(3, "reversal")
 
     def test_negative_n(self):

@@ -137,8 +137,8 @@ class TestHookPolynomials:
 
     def test_walk_matches_products(self):
         for n in range(0, 31):
-            walked = list(hultman._hook_polys(n))
-            assert walked == [f_lambda_poly(lam) for lam in hook_partitions(n)]
+            shapes = list(hook_partitions(n))
+            assert list(hultman._hook_polys(shapes)) == [f_lambda_poly(lam) for lam in shapes]
 
     def test_c_lambda_examples(self):
         assert c_lambda(HookPartition(1, 1, 1)) == Fraction(-1, 3)

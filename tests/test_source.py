@@ -321,7 +321,6 @@ def test_every_public_name_has_a_caller():
 
 # Private names one library module still reads from another.
 ALLOWED_REACH_INS = {
-    "distances -> census._run_census",  # the census runner behind bound_distribution
     "verify -> distances._metric_value",  # the per-permutation bound check
 }
 
@@ -356,9 +355,8 @@ def test_no_private_reach_ins():
 # Every lru_cache in the library, with the caller that repeats its argument.
 CACHED = {
     "bpgraph.grey_matching",  # cycle_lengths_images, once per permutation verify checks
-    # GeneratorSet.moves, once per state of the tests' _tuple_bfs and of
-    # perfbench's move timing; _bfs_moves's closure check and _value_tables,
-    # twice per BFS run.
+    # GeneratorSet.moves, called once per state by the tests' _tuple_bfs and
+    # by perfbench's move timing.  A BFS run reads it once, in _value_tables.
     "distances._generators",
 }
 
