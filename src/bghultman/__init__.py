@@ -37,14 +37,9 @@ from .census import (
 )
 from .distances import (
     bfs_distances,
-    bid,
     compare_to_shifted,
-    dcj,
     distance_distribution,
-    psrd_lower,
-    ptd_lower,
-    srd_lower,
-    td_lower,
+    metric_value,
 )
 from .exactmath import Polynomial
 from .hultman import (

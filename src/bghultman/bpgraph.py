@@ -163,15 +163,19 @@ def _union_lengths(pa: Sequence[int], pb: Sequence[int]) -> list[int]:
     return out
 
 
-def union_cycle_lengths(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Sorted alternating-cycle lengths of a union of two matchings."""
+def _checked_union_lengths(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) != len(b):
         raise ValueError("matchings live on different vertex sets")
-    return tuple(sorted(_union_lengths(a, b)))
+    return _union_lengths(a, b)
+
+
+def union_cycle_lengths(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Sorted alternating-cycle lengths of a union of two matchings."""
+    return tuple(sorted(_checked_union_lengths(a, b)))
 
 
 def union_cycle_count(a: Sequence[int], b: Sequence[int]) -> int:
-    return len(union_cycle_lengths(a, b))
+    return len(_checked_union_lengths(a, b))
 
 
 class Configuration:

@@ -246,6 +246,8 @@ def moments_from_table(table: DistributionTable, total: int) -> MomentPair:
     """
     if table.total() != total:
         raise ValueError(f"table total {table.total()} != expected {total}")
+    if not total:
+        raise ValueError("an empty table has no mean")
     mean = Fraction(sum(k * v for k, v in table.counts.items()), total)
     second = Fraction(sum(k * k * v for k, v in table.counts.items()), total)
     return MomentPair(mean, second - mean * mean)

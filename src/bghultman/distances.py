@@ -59,9 +59,10 @@ cancels and an orbit counts at its full width; it needs no tuning.
 
 Each cycle-based metric is one row of ``METRICS``: its group (signed or
 unsigned), the ``bpgraph.CYCLE_WEIGHTS`` row whose per-cycle sum it reads,
-and its formula in n and that sum.  The per-permutation functions, the
-census tallies and the closed-form tables all read that row.  A distribution
-reads ``hultman.cycle_row`` if the weight row weighs every cycle 1, else the census.
+and its formula in n and that sum.  ``metric_value`` reads the row at one
+permutation, and the census tallies and the closed-form tables read it over
+the whole group.  A distribution reads ``hultman.cycle_row`` if the weight row
+weighs every cycle 1, else the census.
 """
 
 from __future__ import annotations
@@ -78,18 +79,13 @@ from . import bpgraph
 from .census import DistributionTable, weighted_census
 from .exactmath import exact_div
 from .hultman import cycle_row
-from .perm import PermutationError, SignedPermutation, check_nonnegative, check_size
+from .perm import PermutationError, check_nonnegative, check_size
 
 __all__ = [
     "GeneratorSet",
     "GENERATOR_SETS",
     "ComparisonResult",
-    "bid",
-    "dcj",
-    "srd_lower",
-    "td_lower",
-    "ptd_lower",
-    "psrd_lower",
+    "metric_value",
     "bfs_distances",
     "bfs_level_sizes",
     "bound_distribution",
@@ -189,52 +185,46 @@ class _Metric(NamedTuple):
 # c - 2*c_1 + 2*[first == 1] (bpgraph.CYCLE_WEIGHTS), which turns the
 # prefix bounds' [first != 1] term into a constant.
 METRICS: dict[str, _Metric] = {
+    # Exact block-interchange distance (n+1-c)/2; the halving is exact.
     "bid": _Metric(False, "c", lambda n, c: exact_div(n + 1 - c, 2)),
+    # Exact double-cut-and-join distance n+1-c.
     "dcj": _Metric(True, "c", lambda n, c: n + 1 - c),
+    # Cycle lower bound n+1-c on the signed reversal distance.
     "srd_lower": _Metric(True, "c", lambda n, c: n + 1 - c),
+    # Odd-cycle lower bound (n+1-c_odd)/2 on the transposition distance.
     "td_lower": _Metric(False, "c_odd", lambda n, c_odd: exact_div(n + 1 - c_odd, 2)),
+    # Prefix transposition bound (n+1+c)/2 - c_1 - [first != 1], clamped at 0.
     "ptd_lower": _Metric(False, "c_minus_2c_1", lambda n, w: max(0, exact_div(n + 1 + w, 2) - 1)),
+    # Prefix signed reversal bound n+1+c - 2*c_1 - 2*[first != 1], clamped at 0.
     "psrd_lower": _Metric(True, "c_minus_2c_1", lambda n, w: max(0, n + 1 + w - 2)),
 }
 
 
-def _metric_value(images: Sequence[int], metric: str) -> int:
+def _row(metric: str) -> _Metric:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    signed, weight, value = METRICS[metric]
+    return METRICS[metric]
+
+
+def metric_value(images: Sequence[int], metric: str) -> int:
+    """The value of a cycle-based metric (a ``METRICS`` key) at one permutation."""
+    signed, weight, value = _row(metric)
     if not signed and min(images, default=1) < 0:
         raise PermutationError(f"{metric} requires an unsigned permutation")
     return value(len(images), bpgraph.weighted_cycle_sum(images, weight))
 
 
-def bid(pi: SignedPermutation) -> int:
-    """Exact block-interchange distance (n+1-c)/2; the halving is exact."""
-    return _metric_value(pi.images, "bid")
-
-
-def dcj(pi: SignedPermutation) -> int:
-    """Exact double-cut-and-join distance n+1-c."""
-    return _metric_value(pi.images, "dcj")
-
-
-def srd_lower(pi: SignedPermutation) -> int:
-    """Cycle lower bound n+1-c on the signed reversal distance."""
-    return _metric_value(pi.images, "srd_lower")
-
-
-def td_lower(pi: SignedPermutation) -> int:
-    """Odd-cycle lower bound (n+1-c_odd)/2 on the transposition distance."""
-    return _metric_value(pi.images, "td_lower")
-
-
-def ptd_lower(pi: SignedPermutation) -> int:
-    """Prefix-transposition bound (n+1+c)/2 - c_1 - [first != 1], clamped at 0."""
-    return _metric_value(pi.images, "ptd_lower")
-
-
-def psrd_lower(pi: SignedPermutation) -> int:
-    """Prefix signed reversal bound n+1+c-2*c_1 - 2*[first != 1], clamped at 0."""
-    return _metric_value(pi.images, "psrd_lower")
+def _tally(
+    n: int, value: Callable[[int, int], int], counts: Iterable[tuple[int, int]]
+) -> dict[int, int]:
+    # The count of each metric value, from (weighted sum, count) pairs; two
+    # sums may give one value, and zero counts are left out.
+    tally: dict[int, int] = {}
+    for total, count in counts:
+        if count:
+            k = value(n, total)
+            tally[k] = tally.get(k, 0) + count
+    return tally
 
 
 def _value_tables(name: str, n: int) -> tuple[bytes, ...]:
@@ -389,14 +379,9 @@ def bound_distribution(n: int, metric: str, force: bool = False) -> Distribution
     This is the enumeration route, behind the census guard; for a metric whose
     weight row weighs every cycle 1 it must agree with distance_distribution.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    signed, weight, value = METRICS[metric]
-    counts: dict[int, int] = {}
-    for total, count in weighted_census(n, signed, weight, force).items():
-        k = value(n, total)
-        counts[k] = counts.get(k, 0) + count
-    return DistributionTable(n, metric, counts)
+    signed, weight, value = _row(metric)
+    counts = weighted_census(n, signed, weight, force)
+    return DistributionTable(n, metric, _tally(n, value, counts.items()))
 
 
 def distance_distribution(n: int, metric: str, force: bool = False) -> DistributionTable:
@@ -409,13 +394,11 @@ def distance_distribution(n: int, metric: str, force: bool = False) -> Distribut
     check_nonnegative(n)
     if metric in GENERATOR_SETS:
         return DistributionTable(n, metric, bfs_level_sizes(n, metric, force))
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    row = METRICS[metric]
+    row = _row(metric)
     if not row.closed_form:
         return bound_distribution(n, metric, force=force)
-    counts = cycle_row(n, row.signed).coeffs
-    return DistributionTable(n, metric, {row.value(n, c): v for c, v in enumerate(counts) if v})
+    counts = enumerate(cycle_row(n, row.signed).coeffs)
+    return DistributionTable(n, metric, _tally(n, row.value, counts))
 
 
 class ComparisonResult:

@@ -444,6 +444,7 @@ def r_coefficient(n: int, a: int, b: int) -> Fraction:
 
     Defined for a >= b >= 1 with a + b <= n+1 (the index set A_n).
     """
+    check_nonnegative(n)
     if not (a >= b >= 1 and a + b <= n + 1):
         raise ValueError(f"(a, b) = ({a}, {b}) outside the index set for n={n}")
     sign = -1 if (n + a - b) % 2 else 1

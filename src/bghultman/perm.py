@@ -266,9 +266,9 @@ def count_factorizations(n: int, k: int, force: bool = False) -> int:
     result equals the count of unsigned permutations of n elements whose
     breakpoint graph has k alternating cycles.
     """
+    check_size(n, FACTORIZATION_GUARD, force, "factorisation")
     if not 1 <= k <= n + 1:
         raise ValueError(f"k={k} outside 1..{n + 1}")
-    check_size(n, FACTORIZATION_GUARD, force, "factorisation")
     beta = tuple(range(2, n + 2)) + (1,)
     count = 0
     rho = [0] * (n + 1)

@@ -76,7 +76,7 @@ def _bfs(gset: str, metric: str, n: int):
     if gset == "block_interchange":
         return distances.bfs_level_sizes(n, gset)
     return Counter(
-        min(distances._metric_value(images, metric), d)
+        min(distances.metric_value(images, metric), d)
         for images, d in distances.bfs_distances(n, gset).items()
     )
 

@@ -191,18 +191,18 @@ def test_criterion_09_distance_coherence(unsigned_tables, signed_tables):
             ptd_bfs = distances.bfs_distances(n, "prefix_transposition")
             assert len(td_bfs) == len(ptd_bfs) == factorial(n)
             for images, d in td_bfs.items():
-                assert distances._metric_value(images, "td_lower") <= d
-                assert distances._metric_value(images, "bid") <= d
+                assert distances.metric_value(images, "td_lower") <= d
+                assert distances.metric_value(images, "bid") <= d
             for images, d in ptd_bfs.items():
-                assert distances._metric_value(images, "ptd_lower") <= d
+                assert distances.metric_value(images, "ptd_lower") <= d
         for n in range(0, 6):
             srd_bfs = distances.bfs_distances(n, "signed_reversal")
             psrd_bfs = distances.bfs_distances(n, "prefix_signed_reversal")
             assert len(srd_bfs) == len(psrd_bfs) == 2**n * factorial(n)
             for images, d in srd_bfs.items():
-                assert distances._metric_value(images, "srd_lower") <= d
+                assert distances.metric_value(images, "srd_lower") <= d
             for images, d in psrd_bfs.items():
-                assert distances._metric_value(images, "psrd_lower") <= d
+                assert distances.metric_value(images, "psrd_lower") <= d
         assert time.time() - start < 300
 
 

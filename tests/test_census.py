@@ -110,7 +110,7 @@ _TABLES = {
     **{
         metric: (
             distances.METRICS[metric].signed,
-            partial(distances._metric_value, metric=metric),
+            partial(distances.metric_value, metric=metric),
             partial(distances.bound_distribution, metric=metric),
         )
         for metric in distances.METRICS
@@ -301,6 +301,10 @@ class TestMomentsFromTable:
         table = DistributionTable(1, "unsigned_cycles", {2: 1})
         with pytest.raises(ValueError):
             moments_from_table(table, 5)
+
+    def test_empty_table(self):
+        with pytest.raises(ValueError, match=r"^an empty table has no mean$"):
+            moments_from_table(DistributionTable(0, "x", {}), 0)
 
     def test_matches_formula_moments(self):
         for n in range(1, 6):

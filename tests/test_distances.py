@@ -14,15 +14,10 @@ from bghultman.distances import (
     GeneratorSet,
     bfs_distances,
     bfs_level_sizes,
-    bid,
     bound_distribution,
     compare_to_shifted,
-    dcj,
     distance_distribution,
-    psrd_lower,
-    ptd_lower,
-    srd_lower,
-    td_lower,
+    metric_value,
 )
 from bghultman.exactmath import Polynomial
 from bghultman.hultman import cycle_row
@@ -143,40 +138,31 @@ SLICING_MOVES = {
 class TestFormulaDistances:
     def test_identity_is_sorted(self):
         for n in range(0, 6):
-            assert bid(identity(n)) == 0
-            assert dcj(identity(n)) == 0
-            assert srd_lower(identity(n)) == 0
-            assert td_lower(identity(n)) == 0
-            assert ptd_lower(identity(n)) == 0
-            assert psrd_lower(identity(n)) == 0
+            for metric in D.METRICS:
+                assert metric_value(identity(n).images, metric) == 0
 
     def test_examples(self):
-        assert bid(validate([2, 1])) == 1
-        assert dcj(FIG2_PERM) == 6  # n + 1 - c with c = 2
-        assert td_lower(validate([2, 1])) == 1
+        assert metric_value((2, 1), "bid") == 1
+        assert metric_value(FIG2_PERM.images, "dcj") == 6  # n + 1 - c with c = 2
+        assert metric_value((2, 1), "td_lower") == 1
         # Fig. 2 has cycle lengths (1, 7) and first image -5, so psrd_lower
         # is n+1+c-2*c_1-2*[first != 1] = 8 + 2 - 2 - 2.
-        assert psrd_lower(FIG2_PERM) == 6
+        assert metric_value(FIG2_PERM.images, "psrd_lower") == 6
         # The identity of 3 has c = c_1 = 4 and first image 1: (4 + 4)/2 - 4.
-        assert ptd_lower(identity(3)) == 0
-        with pytest.raises(ValueError, match="unknown metric"):
-            D._metric_value(FIG2_PERM.images, "reversal")
+        assert metric_value((1, 2, 3), "ptd_lower") == 0
+        with pytest.raises(ValueError, match=r"^unknown metric 'reversal'$"):
+            metric_value(FIG2_PERM.images, "reversal")
 
     def test_signedness_enforced(self):
-        with pytest.raises(PermutationError):
-            bid(validate([-1]))
-        with pytest.raises(PermutationError):
-            td_lower(validate([-1, 2]))
-        with pytest.raises(PermutationError):
-            ptd_lower(validate([-1, 2]))
-        # One row per cycle-based metric; the private route enforces the
-        # unsigned ones too.
+        # One row per cycle-based metric; metric_value enforces the group of
+        # each unsigned one.
         assert list(D.METRICS) == ["bid", "dcj", "srd_lower", "td_lower", "ptd_lower", "psrd_lower"]
         unsigned = [m for m, row in D.METRICS.items() if not row.signed]
         assert unsigned == ["bid", "td_lower", "ptd_lower"]
         for metric in unsigned:
-            with pytest.raises(PermutationError):
-                D._metric_value((-1, 2), metric)
+            for images in [(-1,), (-1, 2)]:
+                with pytest.raises(PermutationError, match=f"^{metric} requires an unsigned"):
+                    metric_value(images, metric)
 
 
 class TestDistributions:
@@ -233,7 +219,7 @@ class TestDistributions:
                     want = max(0, (n + 1 + c) // 2 - c_1 - first_not_one)
                 else:
                     want = max(0, n + 1 + c - 2 * c_1 - 2 * first_not_one)
-                assert getattr(D, metric)(SignedPermutation(images)) == want, images
+                assert metric_value(images, metric) == want, images
                 expected[want] += 1
             assert bound_distribution(n, metric).counts == expected, n
 
@@ -523,25 +509,25 @@ class TestDomination:
         for n in range(0, 6):
             td_bfs = bfs_distances(n, "transposition")
             for images, d in td_bfs.items():
-                assert D._metric_value(images, "td_lower") <= d
-                assert D._metric_value(images, "bid") <= d
+                assert metric_value(images, "td_lower") <= d
+                assert metric_value(images, "bid") <= d
             ptd_bfs = bfs_distances(n, "prefix_transposition")
             for images, d in ptd_bfs.items():
-                assert D._metric_value(images, "ptd_lower") <= d
+                assert metric_value(images, "ptd_lower") <= d
 
     def test_bid_below_transposition_n7(self):
         bfs = bfs_distances(7, "transposition")
-        assert all(D._metric_value(images, "bid") <= d for images, d in bfs.items())
-        assert all(D._metric_value(images, "td_lower") <= d for images, d in bfs.items())
+        assert all(metric_value(images, "bid") <= d for images, d in bfs.items())
+        assert all(metric_value(images, "td_lower") <= d for images, d in bfs.items())
 
     def test_signed_bounds_below_bfs(self):
         for n in range(0, 5):
             srd_bfs = bfs_distances(n, "signed_reversal")
             for images, d in srd_bfs.items():
-                assert D._metric_value(images, "srd_lower") <= d
+                assert metric_value(images, "srd_lower") <= d
             psrd_bfs = bfs_distances(n, "prefix_signed_reversal")
             for images, d in psrd_bfs.items():
-                assert D._metric_value(images, "psrd_lower") <= d
+                assert metric_value(images, "psrd_lower") <= d
 
     def test_srd_bound_equality_fraction_n6(self):
         # The cycle bound is tight for most signed permutations; the 0.9
@@ -549,7 +535,7 @@ class TestDomination:
         bfs = bfs_distances(6, "signed_reversal")
         tight = 0
         for images, d in bfs.items():
-            lb = D._metric_value(images, "srd_lower")
+            lb = metric_value(images, "srd_lower")
             assert lb <= d
             tight += lb == d
         assert tight / len(bfs) > 0.9

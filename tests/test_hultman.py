@@ -467,6 +467,7 @@ def test_signed_nonnegative_and_bounded(n, k):
         ("r_sum", (-1,)),
         ("r_abs_sum", (-1,)),
         ("new_formula_row", (-1,)),
+        ("r_coefficient", (-1, 1, 1)),
     ],
 )
 def test_negative_n_is_rejected(name, args):

@@ -185,7 +185,7 @@ class TestCountFactorizations:
             count_factorizations(8, 1)
         with pytest.raises(ValueError):
             count_factorizations(3, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
             count_factorizations(-1, 1, force=True)
 
 

@@ -1,5 +1,7 @@
 import ast
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import shutil
@@ -190,12 +192,12 @@ def test_one_equality_rule_for_the_records():
 
 
 def test_one_unsigned_precondition_in_distances():
-    # Every cycle-based metric's group is checked in _metric_value, the one
-    # route that bid, td_lower, ptd_lower and verify share.
+    # Every cycle-based metric's group is checked in metric_value, the one
+    # per-permutation route, which verify and the tests share.
     path = Path(bghultman.__file__).parent / "distances.py"
     sites = {"PermutationError": []}
     _RaiseSites(path.stem, sites).visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert sites == {"PermutationError": ["distances._metric_value"]}
+    assert sites == {"PermutationError": ["distances.metric_value"]}
 
 
 def test_cycle_weights_are_spelled_once():
@@ -215,22 +217,12 @@ def test_cycle_weights_are_spelled_once():
 
 def test_metric_names_are_spelled_once():
     # A metric's route follows its METRICS row, never its name: in distances
-    # a metric's name is a METRICS key, an __all__ entry or the name its own
-    # function passes on, and no other string constant.
+    # a metric's name is a METRICS key and no other string constant.
     names = set(bghultman.distances.METRICS)
     path = Path(bghultman.__file__).parent / "distances.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    allowed = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef):
-            nodes = [n for n in ast.walk(stmt) if getattr(n, "value", None) == stmt.name]
-        elif isinstance(stmt, ast.Assign) and stmt.targets[0].id == "__all__":
-            nodes = stmt.value.elts
-        elif isinstance(stmt, ast.AnnAssign) and stmt.target.id == "METRICS":
-            nodes = stmt.value.keys
-        else:
-            continue
-        allowed.update(map(id, nodes))
+    metrics = next(s for s in tree.body if isinstance(s, ast.AnnAssign) and s.target.id == "METRICS")
+    allowed = set(map(id, metrics.value.keys))
     spelled = [
         node.lineno
         for node in ast.walk(tree)
@@ -319,10 +311,62 @@ def test_every_public_name_has_a_caller():
     assert idle == IDLE_BY_DESIGN
 
 
-# Private names one library module still reads from another.
-ALLOWED_REACH_INS = {
-    "verify -> distances._metric_value",  # the per-permutation bound check
+# A size is a parameter of one of these names.  The other required
+# parameters of a public name that takes one get a value that is valid at
+# size 0, from SAMPLE_ARGUMENTS unless SAMPLE_OVERRIDES names the entry.
+SIZE_PARAMETERS = {"n", "m", "max_n", "length"}
+SAMPLE_ARGUMENTS = {
+    "k": 1, "a": 1, "b": 1, "offset": 0, "black": (), "signed": False, "weight": "c",
+    "metric": "td_lower", "generator_set": "reversal", "guard": 5, "force": False, "what": "test",
 }
+SAMPLE_OVERRIDES = {"distances.compare_to_shifted": {"metric": "reversal"}}
+# Records that store the size they are given; the functions that build them check it.
+STORES_A_SIZE = {"census.DistributionTable", "distances.ComparisonResult"}
+
+
+def _public(name):
+    # The object the public name "<module>.<name>" stands for.
+    module, _, attr = name.partition(".")
+    return getattr(importlib.import_module(f"bghultman.{module}"), attr)
+
+
+def _parameters(name):
+    # The parameters of a public name, or None for a constant or an
+    # exception class.
+    try:
+        return inspect.signature(_public(name)).parameters
+    except (TypeError, ValueError):
+        return None
+
+
+def _size_entries():
+    # "<module>.<name>" of every public name that takes a size.
+    names = [
+        f"{path.stem}.{name}"
+        for path in sorted(Path(bghultman.__file__).parent.glob("*.py"))
+        for name in _exported(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    return [
+        name for name in names
+        if name not in STORES_A_SIZE and SIZE_PARAMETERS & set(_parameters(name) or ())
+    ]
+
+
+@pytest.mark.parametrize("name", _size_entries())
+def test_every_size_entry_rejects_a_negative_size(name):
+    # test_one_check_for_a_negative_size finds the raise sites; this calls
+    # each public name that takes a size with a size of -1 and otherwise
+    # valid arguments, so a check that runs before the size check fails it.
+    params = _parameters(name)
+    (size,) = SIZE_PARAMETERS & set(params)
+    args = {p: SAMPLE_ARGUMENTS[p] for p, v in params.items() if v.default is v.empty and p != size}
+    args.update(SAMPLE_OVERRIDES.get(name, {}), **{size: -1})
+    with pytest.raises(ValueError, match=rf"^{size} must be >= 0, got -1$"):
+        _public(name)(**args)
+
+
+# Private names one library module still reads from another.
+ALLOWED_REACH_INS = set()
 
 
 def _private(name):
