@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .perm import SignedPermutation, check_nonnegative, validate
+from .perm import SignedPermutation, check_nonnegative, lookup, validate
 
 __all__ = [
     "InvalidConfigurationError",
@@ -289,9 +289,7 @@ CYCLE_WEIGHTS: dict[str, CycleWeight] = {
 
 def weighted_cycle_sum(images: Sequence[int], weight: str) -> int:
     """Sum of the ``CYCLE_WEIGHTS[weight]`` row over the breakpoint-graph cycles."""
-    if weight not in CYCLE_WEIGHTS:
-        raise ValueError(f"unknown cycle weight {weight!r}")
-    one, odd, even = CYCLE_WEIGHTS[weight]
+    one, odd, even = lookup(CYCLE_WEIGHTS, weight, "cycle weight")
     # The walk starts at vertex 0, so lengths[0] is the vertex-0 cycle.
     return sum(
         one if length == 1 and i else odd if length % 2 else even

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
 from typing import Iterator, Mapping
 
 from . import bpgraph, perm
@@ -119,11 +118,8 @@ def _weighted_census(n: int, signed: bool, weight: str) -> dict[int, int]:
     weighted sum; no field can exceed the group order, so no field
     overflows.
     """
-    if weight not in bpgraph.CYCLE_WEIGHTS:
-        raise ValueError(f"unknown cycle weight {weight!r}")
-    row = bpgraph.CYCLE_WEIGHTS[weight]
-    order = factorial(n) << n if signed else factorial(n)
-    bits = order.bit_length() + 1
+    row = perm.lookup(bpgraph.CYCLE_WEIGHTS, weight, "cycle weight")
+    bits = perm.group_order(n, signed).bit_length() + 1
     # At most n + 1 cycles close, so every partial sum lies in [low, high].
     low, high = (n + 1) * min(0, *row), (n + 1) * max(0, *row)
     # The merged label of edge 0, 1, 2 and the shift of the cycle each

@@ -8,12 +8,13 @@ lower bounds plus an exact brute-force oracle: breadth-first search over the
 whole group from the identity, for any of the supported generator sets.
 BFS levels double as exact distance distributions at desk scale.
 
-The BFS functions take a generator set by name.  Each set is built once
-per size, from its ``_CUT_GAPS`` row, as a tuple of signed image tuples.
-``GeneratorSet.moves`` is right multiplication t -> compose(t, g): the new
-state picks its entries, some negated, from fixed positions of the old one.
-The BFS walks by left multiplication s -> compose(g, s) instead, which
-relabels the values of s and leaves their positions alone.  A BFS state
+The BFS functions take a generator set by name, a ``GENERATOR_SETS`` key.
+Each set's moves are built once per size, from its ``GeneratorSet`` row, as
+a tuple of signed image tuples.  ``GeneratorSet.moves`` is right
+multiplication t -> compose(t, g): the new state picks its entries, some
+negated, from fixed positions of the old one.  The BFS walks by left
+multiplication s -> compose(g, s) instead, which relabels the values of s
+and leaves their positions alone.  A BFS state
 stores each value v, signed or not, as the byte v + n, and one
 ``bytes.translate`` applies a move.  Both multiplications give the same
 distances: the products of k generators form the same set whether each word
@@ -71,7 +72,6 @@ from functools import lru_cache, partial
 from itertools import (
     chain, combinations_with_replacement, filterfalse, permutations, product, starmap
 )
-from math import factorial
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -79,7 +79,7 @@ from . import bpgraph
 from .census import DistributionTable, weighted_census
 from .exactmath import exact_div
 from .hultman import cycle_row
-from .perm import PermutationError, check_nonnegative, check_size
+from .perm import PermutationError, check_nonnegative, check_size, group_order, lookup
 
 __all__ = [
     "GeneratorSet",
@@ -102,31 +102,31 @@ BFS_SIGNED_GUARD = 6
 Images = tuple[int, ...]
 
 
-class _Cuts(NamedTuple):
+class GeneratorSet(NamedTuple):
+    """A move set generating S_n or its signed counterpart: one ``GENERATOR_SETS`` row.
+
+    ``moves(t)`` is compose(t, g) for each generator g, so the moves of the
+    identity are the generators themselves.  Every set is closed under
+    inverses, so these are true left-invariant sorting distances.
+    """
+
     gaps: tuple[int, ...]  # the smallest gaps between consecutive cut points
     prefix: bool  # whether the first cut is fixed at 0
     signed: bool  # whether the set acts on signed permutations
 
-
-# Each generator set's moves, as cut points 0 <= c_0 <= ... <= c_k <= n.  Two
-# cuts bound a reversed segment; with more, the blocks between the cuts trade
-# places in reverse order.  A signed set negates what it reverses.
-_CUT_GAPS: dict[str, _Cuts] = {
-    "reversal": _Cuts((2,), False, False),
-    "prefix_reversal": _Cuts((2,), True, False),
-    "transposition": _Cuts((1, 1), False, False),
-    "prefix_transposition": _Cuts((1, 1), True, False),
-    "block_interchange": _Cuts((1, 0, 1), False, False),
-    "signed_reversal": _Cuts((1,), False, True),
-    "prefix_signed_reversal": _Cuts((1,), True, True),
-}
+    def moves(self, t: Images) -> list[Images]:
+        """Every state one move away from ``t``."""
+        return [
+            tuple([t[v - 1] if v > 0 else -t[-v - 1] for v in g])
+            for g in _generators(self, len(t))
+        ]
 
 
 @lru_cache(maxsize=None)
-def _generators(name: str, n: int) -> tuple[Images, ...]:
+def _generators(gset: GeneratorSet, n: int) -> tuple[Images, ...]:
     # Each move as a signed image tuple g: compose(t, g) takes its entries
     # from t at the positions |g| lists, negated where g is negative.
-    gaps, prefix, signed = _CUT_GAPS[name]
+    gaps, prefix, signed = gset
     sign = -1 if signed else 1
     generators = []
     for cuts in combinations_with_replacement(range(n + 1), len(gaps) + 1):
@@ -141,34 +141,19 @@ def _generators(name: str, n: int) -> tuple[Images, ...]:
     return tuple(generators)
 
 
-class GeneratorSet:
-    """A named move set generating S_n or its signed counterpart.
+# Each generator set's moves, as cut points 0 <= c_0 <= ... <= c_k <= n.  Two
+# cuts bound a reversed segment; with more, the blocks between the cuts trade
+# places in reverse order.  A signed set negates what it reverses.
+GENERATOR_SETS: dict[str, GeneratorSet] = {
+    "reversal": GeneratorSet((2,), False, False),
+    "prefix_reversal": GeneratorSet((2,), True, False),
+    "transposition": GeneratorSet((1, 1), False, False),
+    "prefix_transposition": GeneratorSet((1, 1), True, False),
+    "block_interchange": GeneratorSet((1, 0, 1), False, False),
+    "signed_reversal": GeneratorSet((1,), False, True),
+    "prefix_signed_reversal": GeneratorSet((1,), True, True),
+}
 
-    ``moves(t)`` is compose(t, g) for each generator g, so the moves of the
-    identity are the generators themselves.  Every set is closed under
-    inverses, so these are true left-invariant sorting distances.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        if name not in _CUT_GAPS:
-            raise ValueError(f"unknown generator set {name!r}")
-        self.name = name
-
-    @property
-    def signed(self) -> bool:
-        return _CUT_GAPS[self.name].signed
-
-    def moves(self, t: Images) -> list[Images]:
-        """Every state one move away from ``t``."""
-        return [
-            tuple([t[v - 1] if v > 0 else -t[-v - 1] for v in g])
-            for g in _generators(self.name, len(t))
-        ]
-
-
-GENERATOR_SETS: dict[str, GeneratorSet] = {name: GeneratorSet(name) for name in _CUT_GAPS}
 
 class _Metric(NamedTuple):
     signed: bool  # the group the metric is defined on
@@ -200,15 +185,9 @@ METRICS: dict[str, _Metric] = {
 }
 
 
-def _row(metric: str) -> _Metric:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    return METRICS[metric]
-
-
 def metric_value(images: Sequence[int], metric: str) -> int:
     """The value of a cycle-based metric (a ``METRICS`` key) at one permutation."""
-    signed, weight, value = _row(metric)
+    signed, weight, value = lookup(METRICS, metric, "metric")
     if not signed and min(images, default=1) < 0:
         raise PermutationError(f"{metric} requires an unsigned permutation")
     return value(len(images), bpgraph.weighted_cycle_sum(images, weight))
@@ -227,12 +206,12 @@ def _tally(
     return tally
 
 
-def _value_tables(name: str, n: int) -> tuple[bytes, ...]:
+def _value_tables(gset: GeneratorSet, n: int) -> tuple[bytes, ...]:
     # One bytes.translate table per generator g, mapping the code v + n of
     # each value v to g(v) + n, where g(-v) is -g(v); an unsigned state never
     # holds a code below n + 1.  Codes outside the group map to themselves.
     tables = []
-    for g in _generators(name, n):
+    for g in _generators(gset, n):
         table = bytearray(range(256))
         for v, image in enumerate(g, start=1):
             table[n + v] = n + image
@@ -265,7 +244,7 @@ def _bfs_moves(
     # reversing the positive codes and the negative ones.  A candidate is
     # kept when it maps the generators onto themselves, which is checked at
     # this size, not declared per set.
-    gset = GeneratorSet(name)
+    gset = lookup(GENERATOR_SETS, name, "generator set")
     check_size(n, BFS_SIGNED_GUARD if gset.signed else BFS_UNSIGNED_GUARD, force, f"{name} BFS")
     if n >= 128:
         raise ValueError(f"{name} BFS stores states as bytes, so n must be below 128, got {n}")
@@ -283,7 +262,7 @@ def _bfs_moves(
         images += [s[::-1].translate(flip) for s in images]
         return images
 
-    tables = _value_tables(name, n)
+    tables = _value_tables(gset, n)
     codes = set(map(positive.translate, tables))
     candidates = [mirror] if gset.signed else [shifts, mirror]
     kept = [f for f in candidates if all(codes.issuperset(f(code)) for code in codes)]
@@ -325,7 +304,7 @@ def _bfs_levels(
     # alive at once.
     frontier = [bytes(range(n + 1, 2 * n + 1))]
     seen, known, rest = set(frontier), 0, None
-    unreached = factorial(n) << n * signed
+    unreached = group_order(n, signed)
     while frontier:
         size = len(seen) - known
         unreached -= size
@@ -379,7 +358,7 @@ def bound_distribution(n: int, metric: str, force: bool = False) -> Distribution
     This is the enumeration route, behind the census guard; for a metric whose
     weight row weighs every cycle 1 it must agree with distance_distribution.
     """
-    signed, weight, value = _row(metric)
+    signed, weight, value = lookup(METRICS, metric, "metric")
     counts = weighted_census(n, signed, weight, force)
     return DistributionTable(n, metric, _tally(n, value, counts.items()))
 
@@ -394,7 +373,7 @@ def distance_distribution(n: int, metric: str, force: bool = False) -> Distribut
     check_nonnegative(n)
     if metric in GENERATOR_SETS:
         return DistributionTable(n, metric, bfs_level_sizes(n, metric, force))
-    row = _row(metric)
+    row = lookup(METRICS, metric, "metric")
     if not row.closed_form:
         return bound_distribution(n, metric, force=force)
     counts = enumerate(cycle_row(n, row.signed).coeffs)

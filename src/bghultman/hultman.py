@@ -225,10 +225,10 @@ def new_formula_row(n: int) -> Polynomial:
 
 def hultman_new_formula(n: int, k: int) -> int:
     """Unsigned count with k cycles, read from new_formula_row(n)."""
-    row = new_formula_row(n)
+    check_nonnegative(n)
     if not 1 <= k <= n + 1:
         raise ValueError(f"k={k} outside 1..{n + 1}")
-    return row.coefficient(k)
+    return new_formula_row(n).coefficient(k)
 
 
 def f_lambda_poly(lam: HookPartition) -> Polynomial:

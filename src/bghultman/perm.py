@@ -15,7 +15,11 @@ check for a negative size: the counts, moments and bounds are defined for
 sizes >= 0, every size check in the library is a call to it, and so each
 rejection reads "<name> must be >= 0, got <value>".  ``check_size`` is the
 one size guard: it calls that check, then refuses a size above the guard of
-an exhaustive run unless forced.
+an exhaustive run unless forced.  ``group_order`` is the one count of the
+group, n! or 2^n * n!, behind the same check.  ``lookup`` is the one check
+for an unknown name: every table the library reads by name (generator
+sets, metrics, cycle weights) is read through it, so each rejection reads
+"unknown <what> <name>".
 
 ``Record`` sits here for the same reason.  It is the one equality rule of
 the value records (``SignedPermutation``, ``exactmath.Polynomial``,
@@ -28,7 +32,8 @@ equal; equal records hash equal, and the repr names each field.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from math import factorial
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 __all__ = [
     "PermutationError",
@@ -47,6 +52,8 @@ __all__ = [
     "count_factorizations",
     "check_nonnegative",
     "check_size",
+    "group_order",
+    "lookup",
     "format_permutation",
     "UNSIGNED_ENUMERATION_GUARD",
     "SIGNED_ENUMERATION_GUARD",
@@ -84,6 +91,22 @@ def check_size(n: int, guard: int, force: bool, what: str) -> None:
             f"size {n} exceeds the {what} guard ({guard}); "
             "pass --force (command line) or force=True (library) to run anyway"
         )
+
+
+def group_order(n: int, signed: bool) -> int:
+    """n! for the unsigned group, 2^n * n! for the signed one."""
+    check_nonnegative(n)
+    return factorial(n) << n * signed
+
+
+_Row = TypeVar("_Row")
+
+
+def lookup(table: Mapping[str, _Row], name: str, what: str) -> _Row:
+    """``table[name]``; every check for an unknown name is this call."""
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}")
+    return table[name]
 
 
 class Record:

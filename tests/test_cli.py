@@ -500,6 +500,13 @@ class TestVerify:
         assert seen == [["PASS first (one)\n"]]
         assert stdout.writes == ["PASS first (one)\n", "PASS second (two)\n"]
 
+    def test_max_n_caps_the_relabel_lemmas(self, capsys):
+        # relabel_m{m} checks matchings at n = m - 1, so --max-n 0 keeps m = 1.
+        code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--max-n", "0")
+        assert code == 0
+        assert "PASS lemmas.relabel_m1 " in out
+        assert "relabel_m2" not in out
+
     def test_no_checks_is_failure(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "table1", "--max-n", "0")
         assert code == 1

@@ -6,12 +6,12 @@ import pytest
 
 from bghultman import cli
 from bghultman import distances as D
-from bghultman.census import SIGNED_CENSUS_GUARD, UNSIGNED_CENSUS_GUARD
+from bghultman.bpgraph import weighted_cycle_sum
+from bghultman.census import SIGNED_CENSUS_GUARD, UNSIGNED_CENSUS_GUARD, weighted_census
 from bghultman.distances import (
     BFS_SIGNED_GUARD,
     BFS_UNSIGNED_GUARD,
     GENERATOR_SETS,
-    GeneratorSet,
     bfs_distances,
     bfs_level_sizes,
     bound_distribution,
@@ -243,6 +243,26 @@ class TestDistributions:
             bound_distribution(SIGNED_CENSUS_GUARD + 1, "srd_lower")
 
 
+# Each entry that reads a table by name, with an unknown name, and what the
+# table holds.
+UNKNOWN_NAMES = [
+    (metric_value, ((1, 2), "pancake"), "metric"),
+    (bound_distribution, (3, "pancake"), "metric"),
+    (distance_distribution, (3, "pancake"), "metric"),
+    (bfs_level_sizes, (3, "pancake"), "generator set"),
+    (weighted_census, (3, False, "pancake"), "cycle weight"),
+    (weighted_cycle_sum, ((1, 2), "pancake"), "cycle weight"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, args, what", UNKNOWN_NAMES, ids=[entry.__name__ for entry, *_ in UNKNOWN_NAMES]
+)
+def test_unknown_name_is_rejected(entry, args, what):
+    with pytest.raises(ValueError, match=rf"^unknown {what} 'pancake'$"):
+        entry(*args)
+
+
 class TestBFS:
     def test_group_orders(self):
         for name, gset in GENERATOR_SETS.items():
@@ -333,8 +353,6 @@ class TestBFS:
         with pytest.raises(ValueError):
             bfs_distances(3, "unknown_moves")
         with pytest.raises(ValueError):
-            GeneratorSet("pancake")
-        with pytest.raises(ValueError):
             bfs_distances(-1, "transposition")
         with pytest.raises(ValueError):
             bfs_level_sizes(-1, "transposition")
@@ -385,8 +403,8 @@ class TestBFS:
         # n = 1 either: their whole group is the identity.
         signed_rows = {"signed_reversal": [1, 3, 3, 1], "prefix_signed_reversal": [1, 2, 2, 2, 1]}
         for name, gset in GENERATOR_SETS.items():
-            assert D._generators(name, 0) == ()
-            assert (D._generators(name, 1) == ()) is not gset.signed
+            assert D._generators(gset, 0) == ()
+            assert (D._generators(gset, 1) == ()) is not gset.signed
             rows = [[1], [1, 1] if gset.signed else [1], signed_rows.get(name, [1, 1])]
             for n, row in enumerate(rows):
                 assert list(bfs_level_sizes(n, name).values()) == row, (name, n)
@@ -478,7 +496,7 @@ class TestBFS:
             stream = iter_images_signed if gset.signed else iter_images_unsigned
             for n in range(0, 5):
                 generators = gset.moves(identity(n).images)
-                tables = D._value_tables(name, n)
+                tables = D._value_tables(gset, n)
                 assert len(tables) == len(generators)
                 for t in stream(n):
                     code = bytes([n + v for v in t])

@@ -56,6 +56,14 @@ class TestUnsignedFormulas:
         with pytest.raises(ValueError):
             hultman_new_formula(3, 0)
 
+    def test_k_is_checked_before_the_row_is_built(self, monkeypatch):
+        def build(n):
+            raise AssertionError("new_formula_row called")
+
+        monkeypatch.setattr(hultman, "new_formula_row", build)
+        with pytest.raises(ValueError, match=r"^k=0 outside 1\.\.11$"):
+            hultman_new_formula(10, 0)
+
     def test_parity_zeros(self):
         for n in range(0, 12):
             for k in range(1, n + 2):

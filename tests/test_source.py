@@ -147,10 +147,9 @@ def test_one_exactness_check_and_one_size_guard():
     assert sites == {"ExactnessError": ["exactmath.exact_div"], "GuardError": ["perm.check_size"]}
 
 
-def test_one_check_for_a_negative_size():
-    # Every "must be >= 0" ValueError is raised by perm.check_nonnegative,
-    # by top-level definition, apart from MomentPair's, which checks a
-    # variance, not a size.
+def _value_error_sites(matches):
+    # "<module>.<top-level definition>" of every `raise ValueError(...)`
+    # whose call node satisfies ``matches``.
     sites = []
     for path in sorted(Path(bghultman.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -159,13 +158,36 @@ def test_one_check_for_a_negative_size():
                     isinstance(node, ast.Raise)
                     and isinstance(node.exc, ast.Call)
                     and getattr(node.exc.func, "id", None) == "ValueError"
-                    and any(
-                        isinstance(part, ast.Constant) and "must be >= 0" in str(part.value)
-                        for part in ast.walk(node.exc)
-                    )
+                    and matches(node.exc)
                 ):
                     sites.append(f"{path.stem}.{getattr(stmt, 'name', path.stem)}")
+    return sites
+
+
+def test_one_check_for_a_negative_size():
+    # Every "must be >= 0" ValueError is raised by perm.check_nonnegative,
+    # apart from MomentPair's, which checks a variance, not a size.
+    sites = _value_error_sites(lambda call: any(
+        isinstance(part, ast.Constant) and "must be >= 0" in str(part.value)
+        for part in ast.walk(call)
+    ))
     assert sites == ["hultman.MomentPair", "perm.check_nonnegative"]
+
+
+def _message_head(call):
+    # The literal text a message starts with: a plain string, or the first
+    # piece of an f-string.
+    head = call.args[0] if call.args else None
+    if isinstance(head, ast.JoinedStr) and head.values:
+        head = head.values[0]
+    return head.value if isinstance(head, ast.Constant) and isinstance(head.value, str) else ""
+
+
+def test_one_check_for_an_unknown_name():
+    # Every ValueError whose message starts with "unknown " is raised by
+    # perm.lookup, the one way the library reads a table by name.
+    sites = _value_error_sites(lambda call: _message_head(call).startswith("unknown "))
+    assert sites == ["perm.lookup"]
 
 
 def test_one_equality_rule_for_the_records():
@@ -232,8 +254,8 @@ def test_metric_names_are_spelled_once():
 
 
 def test_generator_sets_read_their_row():
-    # A generator set's prefix and sign are fields of its _CUT_GAPS row;
-    # nothing in distances reads them off the set's name.
+    # A generator set's prefix and sign are fields of its GENERATOR_SETS
+    # row; nothing in distances reads them off the set's name.
     path = Path(bghultman.__file__).parent / "distances.py"
     spelled = [
         node.lineno
