@@ -51,6 +51,6 @@ from .hultman import (
     signed_moments,
     unsigned_moments,
 )
-from .perm import SignedPermutation, compose, enumerate_signed, enumerate_unsigned, inverse, validate
+from .perm import compose, enumerate_signed, enumerate_unsigned, inverse, validate
 
 __version__ = "0.1.0"

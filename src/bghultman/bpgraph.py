@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .perm import SignedPermutation, check_nonnegative, lookup, validate
+from .perm import Images, check_nonnegative, lookup, validate
 
 __all__ = [
     "InvalidConfigurationError",
@@ -195,9 +195,9 @@ class Configuration:
         self.black = black
 
 
-def breakpoint_graph(pi: SignedPermutation) -> Configuration:
+def breakpoint_graph(pi: Images) -> Configuration:
     """Breakpoint graph of pi: black edges join doubled positions (2i, 2i+1)."""
-    return Configuration(pi.n, tuple(_black_partner(pi.images)))
+    return Configuration(len(pi), tuple(_black_partner(pi)))
 
 
 def cycle_profile(config: Configuration) -> tuple[int, ...]:
@@ -210,7 +210,7 @@ def is_valid_breakpoint_graph(config: Configuration) -> bool:
     return union_cycle_count(config.black, grey_complement_matching(config.n)) == 1
 
 
-def recover_permutation(config: Configuration) -> SignedPermutation:
+def recover_permutation(config: Configuration) -> Images:
     """Read the permutation back off a valid configuration.
 
     Walks the complement cycle from vertex 0, alternating black and shifted

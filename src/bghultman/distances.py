@@ -79,7 +79,7 @@ from . import bpgraph
 from .census import DistributionTable, weighted_census
 from .exactmath import exact_div
 from .hultman import cycle_row
-from .perm import PermutationError, check_nonnegative, check_size, group_order, lookup
+from .perm import Images, PermutationError, check_nonnegative, check_size, group_order, lookup
 
 __all__ = [
     "GeneratorSet",
@@ -98,8 +98,6 @@ __all__ = [
 
 BFS_UNSIGNED_GUARD = 8
 BFS_SIGNED_GUARD = 6
-
-Images = tuple[int, ...]
 
 
 class GeneratorSet(NamedTuple):

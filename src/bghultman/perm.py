@@ -1,13 +1,14 @@
 """Unsigned and signed permutations.
 
-A signed permutation of n elements stores, for each position 1..n, a signed
-image whose absolute values form a bijection of {1..n}.  Unsigned
-permutations are the all-positive special case of the same type.  The module
-provides validation, group operations, deterministic (lexicographic)
-enumeration streams, the size checks, and a brute-force counter of cycle
-factorisations used as a test oracle.  No census splits the streams by first
-image any more; ``first_values`` and the ``first`` argument of
-``iter_images_*`` stay only because ``perfbench/layers.py`` times them.
+A signed permutation of n elements is its tuple of images, ``Images``: for
+each position 1..n a signed image, whose absolute values form a bijection of
+{1..n}.  Unsigned permutations are the all-positive tuples, and ``validate``
+is the one check of the invariants.  The module provides validation, group
+operations, deterministic (lexicographic) enumeration streams, the size
+checks, and a brute-force counter of cycle factorisations used as a test
+oracle.  No census splits the streams by first image any more;
+``first_values`` and the ``first`` argument of ``iter_images_*`` stay only
+because ``perfbench/layers.py`` times them.
 
 The size checks sit here because perm imports no other module of the
 package, so every module can import them.  ``check_nonnegative`` is the one
@@ -22,11 +23,11 @@ sets, metrics, cycle weights) is read through it, so each rejection reads
 "unknown <what> <name>".
 
 ``Record`` sits here for the same reason.  It is the one equality rule of
-the value records (``SignedPermutation``, ``exactmath.Polynomial``,
-``hultman.HookPartition``, ``hultman.MomentPair`` and
-``census.DistributionTable``): two records are equal when they are of the
-same class and their fields, the names in the class's ``__slots__``, are
-equal; equal records hash equal, and the repr names each field.
+the value records (``exactmath.Polynomial``, ``hultman.HookPartition``,
+``hultman.MomentPair`` and ``census.DistributionTable``): two records are
+equal when they are of the same class and their fields, the names in the
+class's ``__slots__``, are equal; equal records hash equal, and the repr
+names each field.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "PermutationError",
     "GuardError",
     "Record",
-    "SignedPermutation",
     "validate",
     "identity",
     "compose",
@@ -54,7 +54,6 @@ __all__ = [
     "check_size",
     "group_order",
     "lookup",
-    "format_permutation",
     "UNSIGNED_ENUMERATION_GUARD",
     "SIGNED_ENUMERATION_GUARD",
     "FACTORIZATION_GUARD",
@@ -63,6 +62,8 @@ __all__ = [
 UNSIGNED_ENUMERATION_GUARD = 12
 SIGNED_ENUMERATION_GUARD = 9
 FACTORIZATION_GUARD = 7
+
+Images = tuple[int, ...]
 
 
 class PermutationError(ValueError):
@@ -134,27 +135,8 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
-class SignedPermutation(Record):
-    """Permutation of {1..n} with per-element signs, as a tuple of images.
-
-    ``validate`` checks the images.
-    """
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]) -> None:
-        self.images = images
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __str__(self) -> str:
-        return format_permutation(self)
-
-
-def validate(images: Iterable[int]) -> SignedPermutation:
-    """Check the bijection invariants and build a permutation.
+def validate(images: Iterable[int]) -> Images:
+    """Check the bijection invariants and return the images as a tuple.
 
     Raises PermutationError naming the first offending position.
     """
@@ -162,6 +144,8 @@ def validate(images: Iterable[int]) -> SignedPermutation:
     n = len(imgs)
     seen = [False] * (n + 1)
     for pos, v in enumerate(imgs, start=1):
+        if type(v) is not int:
+            raise PermutationError(f"position {pos}: image {v!r} is not an integer")
         if v == 0:
             raise PermutationError(f"position {pos}: image 0 is not allowed")
         a = abs(v)
@@ -170,34 +154,29 @@ def validate(images: Iterable[int]) -> SignedPermutation:
         if seen[a]:
             raise PermutationError(f"position {pos}: duplicate absolute value {a}")
         seen[a] = True
-    return SignedPermutation(imgs)
+    return imgs
 
 
-def identity(n: int) -> SignedPermutation:
+def identity(n: int) -> Images:
     check_nonnegative(n)
-    return SignedPermutation(tuple(range(1, n + 1)))
+    return tuple(range(1, n + 1))
 
 
-def compose(sigma: SignedPermutation, pi: SignedPermutation) -> SignedPermutation:
+def compose(sigma: Images, pi: Images) -> Images:
     """sigma applied after pi (composition right to left)."""
-    if sigma.n != pi.n:
-        raise PermutationError(f"size mismatch: {sigma.n} vs {pi.n}")
-    s = sigma.images
-    out = []
-    for v in pi.images:
-        w = s[v - 1] if v > 0 else -s[-v - 1]
-        out.append(w)
-    return SignedPermutation(tuple(out))
+    if len(sigma) != len(pi):
+        raise PermutationError(f"size mismatch: {len(sigma)} vs {len(pi)}")
+    return tuple([sigma[v - 1] if v > 0 else -sigma[-v - 1] for v in pi])
 
 
-def inverse(pi: SignedPermutation) -> SignedPermutation:
-    out = [0] * pi.n
-    for pos, v in enumerate(pi.images, start=1):
+def inverse(pi: Images) -> Images:
+    out = [0] * len(pi)
+    for pos, v in enumerate(pi, start=1):
         if v > 0:
             out[v - 1] = pos
         else:
             out[-v - 1] = -pos
-    return SignedPermutation(tuple(out))
+    return tuple(out)
 
 
 def _cycles(images: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -216,7 +195,7 @@ def _cycles(images: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(cyc)
 
 
-def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
+def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[Images]:
     """Raw lexicographic stream of unsigned image tuples.
 
     With ``first`` given, only permutations starting with that image are
@@ -231,7 +210,7 @@ def iter_images_unsigned(n: int, first: int | None = None) -> Iterator[tuple[int
     return ((first,) + tail for tail in itertools.permutations(rest))
 
 
-def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
+def iter_images_signed(n: int, first: int | None = None) -> Iterator[Images]:
     """Raw lexicographic stream of signed image tuples."""
     check_nonnegative(n)
     if first is not None and not 1 <= abs(first) <= n:
@@ -240,7 +219,7 @@ def iter_images_signed(n: int, first: int | None = None) -> Iterator[tuple[int, 
     used = [False] * (n + 1)
     acc = [0] * n
 
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
+    def rec(pos: int) -> Iterator[Images]:
         if pos == n:
             yield tuple(acc)
             return
@@ -268,16 +247,16 @@ def first_values(n: int, signed: bool) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def enumerate_unsigned(n: int, force: bool = False) -> Iterator[SignedPermutation]:
+def enumerate_unsigned(n: int, force: bool = False) -> Iterator[Images]:
     """All n! unsigned permutations in lexicographic image order."""
     check_size(n, UNSIGNED_ENUMERATION_GUARD, force, "unsigned enumeration")
-    return (SignedPermutation(t) for t in iter_images_unsigned(n))
+    return iter_images_unsigned(n)
 
 
-def enumerate_signed(n: int, force: bool = False) -> Iterator[SignedPermutation]:
+def enumerate_signed(n: int, force: bool = False) -> Iterator[Images]:
     """All 2^n * n! signed permutations in lexicographic image order."""
     check_size(n, SIGNED_ENUMERATION_GUARD, force, "signed enumeration")
-    return (SignedPermutation(t) for t in iter_images_signed(n))
+    return iter_images_signed(n)
 
 
 def count_factorizations(n: int, k: int, force: bool = False) -> int:
@@ -305,7 +284,3 @@ def count_factorizations(n: int, k: int, force: bool = False) -> int:
         if len(next(_cycles(rho))) == n + 1:  # one cycle covers all
             count += 1
     return count
-
-
-def format_permutation(pi: SignedPermutation) -> str:
-    return " ".join(str(v) for v in pi.images)

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bghultman import perm
+from bghultman import bpgraph, perm
+from bghultman.distances import bfs_distances
 from bghultman.exactmath import harmonic
 from bghultman.hultman import hultman_bona_flynn
 from bghultman.perm import (
     GuardError,
     PermutationError,
-    SignedPermutation,
     compose,
     count_factorizations,
     enumerate_signed,
     enumerate_unsigned,
     first_values,
-    format_permutation,
     identity,
     inverse,
     iter_images_signed,
@@ -32,16 +31,16 @@ def signed_perms(draw, min_n=0, max_n=7, unsigned=False):
     n = draw(st.integers(min_n, max_n))
     base = draw(st.permutations(list(range(1, n + 1))))
     if unsigned:
-        return SignedPermutation(tuple(base))
+        return tuple(base)
     signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return SignedPermutation(tuple(v if s else -v for v, s in zip(base, signs)))
+    return tuple(v if s else -v for v, s in zip(base, signs))
 
 
 class TestValidate:
     def test_accepts_valid(self):
-        assert validate([2, 4, 1, 3]) == SignedPermutation((2, 4, 1, 3))
-        pi = validate([-5, 1, 2, 4, -7, -3, 6])
-        assert pi.n == 7 and pi.images == (-5, 1, 2, 4, -7, -3, 6)
+        assert validate([2, 4, 1, 3]) == (2, 4, 1, 3)
+        pi = validate(iter([-5, 1, 2, 4, -7, -3, 6]))
+        assert type(pi) is tuple and pi == (-5, 1, 2, 4, -7, -3, 6)
 
     @pytest.mark.parametrize(
         "images, fragment",
@@ -50,6 +49,9 @@ class TestValidate:
             ([0], "position 1"),
             ([3, 1], "position 1"),
             ([1, -1], "duplicate absolute value"),
+            ([2.0, 1.0], r"^position 1: image 2\.0 is not an integer$"),
+            (["1"], r"^position 1: image '1' is not an integer$"),
+            ([True], r"^position 1: image True is not an integer$"),
         ],
     )
     def test_rejects_with_position(self, images, fragment):
@@ -59,7 +61,7 @@ class TestValidate:
 
 class TestGroupOps:
     def test_inverse_example(self):
-        assert inverse(validate([2, 4, 1, 3])).images == (3, 1, 4, 2)
+        assert inverse(validate([2, 4, 1, 3])) == (3, 1, 4, 2)
 
     def test_size_mismatch(self):
         with pytest.raises(PermutationError):
@@ -67,37 +69,33 @@ class TestGroupOps:
 
     @given(signed_perms())
     def test_inverse_law(self, pi):
-        assert compose(pi, inverse(pi)) == identity(pi.n)
-        assert compose(inverse(pi), pi) == identity(pi.n)
+        assert compose(pi, inverse(pi)) == identity(len(pi))
+        assert compose(inverse(pi), pi) == identity(len(pi))
         assert inverse(inverse(pi)) == pi
 
     @given(signed_perms(max_n=5), signed_perms(max_n=5), signed_perms(max_n=5))
     @settings(max_examples=60)
     def test_associativity(self, a, b, c):
-        n = max(a.n, b.n, c.n)
-        a, b, c = (
-            SignedPermutation(p.images + tuple(range(p.n + 1, n + 1))) for p in (a, b, c)
-        )
+        n = max(len(a), len(b), len(c))
+        a, b, c = (p + tuple(range(len(p) + 1, n + 1)) for p in (a, b, c))
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
     def test_conjugate_relabels_cycles(self):
         pi = validate([2, 4, 1, 3])  # the 4-cycle (1 2 4 3)
         sigma = validate([3, 1, 4, 2])
         conj = _conjugate(pi, sigma)
-        relabeled = {
-            tuple(sorted(sigma.images[v - 1] for v in cyc)) for cyc in perm._cycles(pi.images)
-        }
-        got = {tuple(sorted(cyc)) for cyc in perm._cycles(conj.images)}
+        relabeled = {tuple(sorted(sigma[v - 1] for v in cyc)) for cyc in perm._cycles(pi)}
+        got = {tuple(sorted(cyc)) for cyc in perm._cycles(conj)}
         assert got == relabeled
 
     @given(signed_perms(unsigned=True), signed_perms(unsigned=True))
     @settings(max_examples=60)
     def test_conjugate_preserves_cycle_type(self, pi, sigma):
-        n = max(pi.n, sigma.n)
-        pi = SignedPermutation(pi.images + tuple(range(pi.n + 1, n + 1)))
-        sigma = SignedPermutation(sigma.images + tuple(range(sigma.n + 1, n + 1)))
-        lengths = sorted(len(c) for c in perm._cycles(pi.images))
-        conj_lengths = sorted(len(c) for c in perm._cycles(_conjugate(pi, sigma).images))
+        n = max(len(pi), len(sigma))
+        pi += tuple(range(len(pi) + 1, n + 1))
+        sigma += tuple(range(len(sigma) + 1, n + 1))
+        lengths = sorted(len(c) for c in perm._cycles(pi))
+        conj_lengths = sorted(len(c) for c in perm._cycles(_conjugate(pi, sigma)))
         assert lengths == conj_lengths
 
 
@@ -114,7 +112,7 @@ class TestCycleDecomposition:
         assert cycles == ((1, 2, 4, 3), (5,), (6, 8, 9), (7,))
 
     def test_identity_and_swap(self):
-        assert tuple(perm._cycles(identity(4).images)) == ((1,), (2,), (3,), (4,))
+        assert tuple(perm._cycles(identity(4))) == ((1,), (2,), (3,), (4,))
         assert tuple(perm._cycles((2, 1))) == ((1, 2),)
 
 
@@ -122,15 +120,15 @@ class TestEnumeration:
     def test_counts(self):
         assert len(list(enumerate_unsigned(3))) == 6
         assert len(list(enumerate_signed(2))) == 8
-        assert list(enumerate_unsigned(0)) == [SignedPermutation(())]
-        assert list(enumerate_signed(0)) == [SignedPermutation(())]
+        assert list(enumerate_unsigned(0)) == [()]
+        assert list(enumerate_signed(0)) == [()]
 
     def test_lexicographic_and_distinct(self):
         for n in range(4):
-            seq = [p.images for p in enumerate_signed(n)]
+            seq = list(enumerate_signed(n))
             assert seq == sorted(seq)
             assert len(set(seq)) == len(seq) == 2**n * factorial(n)
-        seq = [p.images for p in enumerate_unsigned(4)]
+        seq = list(enumerate_unsigned(4))
         assert seq == sorted(seq) and len(set(seq)) == 24
 
     def test_split_by_first_value(self):
@@ -159,10 +157,22 @@ class TestEnumeration:
             enumerate_unsigned(13)
         with pytest.raises(GuardError):
             enumerate_signed(10)
-        assert next(iter(enumerate_unsigned(13, force=True))).n == 13
+        assert len(next(enumerate_unsigned(13, force=True))) == 13
         for enumerate_group in (enumerate_unsigned, enumerate_signed):
             with pytest.raises(ValueError):
                 enumerate_group(-1)
+
+    def test_permutations_are_image_tuples(self):
+        # A permutation has one representation: the enumerations yield the
+        # tuples that the breakpoint graph, the group operations and the BFS
+        # keys take and return.
+        signed = list(enumerate_signed(3))
+        for p in signed + list(enumerate_unsigned(4)):
+            assert type(p) is tuple
+            assert bpgraph.recover_permutation(bpgraph.breakpoint_graph(p)) == p
+            assert compose(p, inverse(p)) == identity(len(p))
+        reached = bfs_distances(3, "signed_reversal")
+        assert all(p in reached for p in signed)
 
 
 class TestCountFactorizations:
@@ -205,10 +215,3 @@ class TestCycleCountMean:
                             j = images[j - 1]
             assert Fraction(total, factorial(n)) == harmonic(n)
 
-
-class TestTextFormat:
-    def test_round_trip(self):
-        pi = validate([-5, 1, 2, 4, -7, -3, 6])
-        assert format_permutation(pi) == str(pi) == "-5 1 2 4 -7 -3 6"
-        assert validate(int(t) for t in str(pi).split()) == pi
-        assert str(identity(0)) == ""

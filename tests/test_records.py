@@ -1,12 +1,10 @@
-"""The seven record classes: plain ``__slots__`` classes with checking constructors.
+"""The six record classes: plain ``__slots__`` classes with checking constructors.
 
-The five value records inherit equality, hash and repr from one base,
+The four value records inherit equality, hash and repr from one base,
 ``perm.Record``, which reads the fields from the class's ``__slots__``: a
 record equals another of its own class with equal fields, and of no other
 class.  They are used here:
 
-- SignedPermutation ==: the round trips in verify's lemmas suite and the perm
-  and bpgraph tests.
 - Polynomial ==: verify's formulas suite and the exactmath and hultman tests.
 - HookPartition == and hash: the hook_partitions tests put shapes in a set.
 - MomentPair ==: verify's moments suite and the census and hultman tests.
@@ -14,11 +12,14 @@ class.  They are used here:
   distances tests.  Its counts are a dict, so a table has no hash.
 - Configuration and ComparisonResult compare by identity.
 
-The first four of these hash their fields, so equal ones hash equal.
+The first three of these hash their fields, so equal ones hash equal.
 
 ``distances.GeneratorSet`` is no record class: it is the ``NamedTuple`` row
 of ``distances.GENERATOR_SETS``, and is checked here only for having no
 ``__dict__``.
+
+No two library records share a field shape, so two test-local records,
+``Left`` and ``Right``, show that equal fields in two classes compare unequal.
 """
 
 from fractions import Fraction
@@ -30,16 +31,14 @@ from bghultman.census import DistributionTable
 from bghultman.distances import GENERATOR_SETS, ComparisonResult
 from bghultman.exactmath import Polynomial
 from bghultman.hultman import HookPartition, MomentPair
-from bghultman.perm import SignedPermutation
+from bghultman.perm import Record
 
 VALUES = {
-    "SignedPermutation": lambda: SignedPermutation((2, -1)),
     "Polynomial": lambda: Polynomial((0, 1, 2)),
     "HookPartition": lambda: HookPartition(2, 1, 2),
     "MomentPair": lambda: MomentPair(Fraction(3, 2), Fraction(1, 4)),
 }
 DIFFERENT = {
-    "SignedPermutation": SignedPermutation((2, 1)),
     "Polynomial": Polynomial((0, 1)),
     "HookPartition": HookPartition(3, 0, 2),
     "MomentPair": MomentPair(Fraction(3, 2), Fraction(0)),
@@ -64,16 +63,31 @@ def test_values_compare_and_hash_by_fields(name):
     assert a != tuple(getattr(a, field) for field in type(a).__slots__)
 
 
+class Left(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+class Right(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
 def test_records_of_different_classes_differ():
     # Equal field values do not make records of two classes equal.
-    assert SignedPermutation((1, 2)) != Polynomial((1, 2))
-    assert Polynomial((1, 2)) != SignedPermutation((1, 2))
+    assert Left((1, 2)) == Left((1, 2))
+    assert Left((1, 2)) != Right((1, 2))
+    assert Right((1, 2)) != Left((1, 2))
 
 
 @pytest.mark.parametrize(
     "record, text",
     [
-        (SignedPermutation((2, -1)), "SignedPermutation(images=(2, -1))"),
+        (Left((2, -1)), "Left(value=(2, -1))"),
         (Polynomial((0, 1, 2)), "Polynomial(coeffs=(0, 1, 2))"),
         (HookPartition(2, 1, 2), "HookPartition(a=2, b=1, n=2)"),
         (
